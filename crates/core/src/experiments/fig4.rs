@@ -184,9 +184,10 @@ pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
 }
 
 /// Runs the Figure 4 sweep via checkpoint/fork: each topology's warm phase
-/// is simulated **once**, checkpointed at the warm boundary, and every
-/// sweep point restores the (reference-counted) blob into a fresh platform
-/// instead of re-simulating the prefix.
+/// is simulated **once** — the probe itself checkpoints at the warm
+/// boundary ([`service::warm_state`]'s single pass) — and every sweep point
+/// restores the (reference-counted) blob into a fresh platform instead of
+/// re-simulating the prefix.
 ///
 /// The result is bit-identical to [`fig4_with_jobs`] — snapshot restore is
 /// exact — only wall-clock time changes.
@@ -195,19 +196,11 @@ pub fn fig4_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
 ///
 /// Fails if any platform instance stalls (model bug).
 pub fn fig4_warm_fork_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult<Fig4> {
-    let warm = [
-        probe(scale, seed, Topology::Collapsed)?,
-        probe(scale, seed, Topology::Distributed)?,
+    let states = [
+        service::warm_spec_state(&point_spec(scale, seed, Topology::Collapsed), None)?,
+        service::warm_spec_state(&point_spec(scale, seed, Topology::Distributed), None)?,
     ];
-    let mut blobs: Vec<SnapshotBlob> = Vec::with_capacity(2);
-    for (i, topology) in [Topology::Collapsed, Topology::Distributed]
-        .into_iter()
-        .enumerate()
-    {
-        let mut platform = build_platform(&point_spec(scale, seed, topology))?;
-        platform.sim_mut().run_until(warm[i].warm_until);
-        blobs.push(platform.checkpoint());
-    }
+    let warm = [states[0].profile, states[1].profile];
     let tails = parallel_map(SWEEP[1..].to_vec(), jobs, |ws| -> SimResult<[u64; 2]> {
         let mut cycles = [0u64; 2];
         for (i, topology) in [Topology::Collapsed, Topology::Distributed]
@@ -215,7 +208,7 @@ pub fn fig4_warm_fork_with_jobs(scale: u64, seed: u64, jobs: usize) -> SimResult
             .enumerate()
         {
             let mut platform = build_platform(&point_spec(scale, seed, topology))?;
-            platform.restore(&blobs[i])?;
+            platform.restore(&states[i].blob)?;
             cycles[i] = finish_point(platform, ws)?;
         }
         Ok(cycles)

@@ -17,6 +17,18 @@
 //! * [`warm_state`] / [`serve_point`] — produce a warm checkpoint and
 //!   serve one sweep point from it.
 //!
+//! # Single-pass warm-up
+//!
+//! The probe and the warm checkpoint come from **one** simulation. The
+//! boundary's injection threshold is a share of the platform's expected
+//! transactions, known before the run starts, so the probe checkpoints at
+//! the first chunk that reaches it and keeps running to quiescence for the
+//! base result. A guard recomputes the boundary from the real final total
+//! and keeps the checkpoint only if it was taken exactly there; otherwise
+//! a fresh platform re-runs the prefix. Loosely-timed warm gears above
+//! quantum 1 always take that two-pass path, because chunking clamps their
+//! fast-forward windows and changes the trajectory.
+//!
 //! # Determinism contract
 //!
 //! Everything here is a pure function of the request: the warm boundary is
@@ -28,7 +40,7 @@
 //! and CI gates it end to end.
 
 use crate::experiments::parallel_map;
-use crate::platforms::{build_platform, MemorySystem, PlatformSpec, Topology, Workload};
+use crate::platforms::{build_platform, MemorySystem, Platform, PlatformSpec, Topology, Workload};
 use mpsoc_kernel::{
     Fidelity, RunOutcome, SimError, SimResult, SnapshotBlob, SnapshotError, StateReader,
     StateWriter, Time,
@@ -260,10 +272,61 @@ pub struct WarmProfile {
 ///
 /// Fails if the platform stalls before the horizon (model bug).
 pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<WarmProfile> {
+    Ok(chunked_run(spec, gear, |_| None)?.profile)
+}
+
+/// The injected-transaction count a warm boundary must reach in a run of
+/// `total` injections.
+fn warm_threshold(total: u64) -> u64 {
+    total * WARM_PERMILLE / 1000
+}
+
+/// The warm boundary of a probe from its chunk `samples` (instant,
+/// injected so far) and the run's final injected `total`: the earliest
+/// sample that reached [`warm_threshold`], else the last sample, else
+/// [`Time::ZERO`] for a run that drained inside its first chunk.
+fn warm_boundary(samples: &[(Time, u64)], total: u64) -> Time {
+    let threshold = warm_threshold(total);
+    samples
+        .iter()
+        .find(|(_, injected)| *injected >= threshold)
+        .or(samples.last())
+        .map_or(Time::ZERO, |(at, _)| *at)
+}
+
+/// Whether a run in `gear` may take its warm checkpoint mid-probe: chunked
+/// stepping is bit-identical to an uninterrupted run only where the
+/// kernel never fast-forwards across a chunk boundary.
+fn single_pass_gear(gear: Fidelity) -> bool {
+    matches!(gear, Fidelity::Cycle | Fidelity::Fast { quantum: 1 })
+}
+
+/// One chunked probe run: its profile and, when the run checkpointed at
+/// exactly the warm boundary, the warm checkpoint and fingerprint.
+struct ChunkedRun {
+    profile: WarmProfile,
+    checkpoint: Option<(SnapshotBlob, u64)>,
+}
+
+/// The chunk loop behind [`probe_warm`] and the single-pass warm-up.
+///
+/// `early_threshold` sees the built platform (gear applied) and may name
+/// an injected-transaction count: the run then checkpoints at the first
+/// chunk boundary that reached it and keeps running to quiescence. The
+/// checkpoint survives only if its instant is the [`warm_boundary`]
+/// recomputed from the real final total, so a wrong threshold costs a
+/// fallback, never a wrong blob.
+fn chunked_run(
+    spec: &PlatformSpec,
+    gear: Option<Fidelity>,
+    early_threshold: impl FnOnce(&Platform) -> Option<u64>,
+) -> SimResult<ChunkedRun> {
     let mut platform = build_platform(spec)?;
     if let Some(gear) = gear {
         platform.sim_mut().set_fidelity(gear);
     }
+    let early_threshold = early_threshold(&platform);
+    let mut early: Option<(Time, SnapshotBlob)> = None;
     let mut samples: Vec<(Time, u64)> = Vec::new();
     let mut horizon = Time::ZERO;
     let exec = loop {
@@ -277,20 +340,24 @@ pub fn probe_warm(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<Warm
                     .map(|_| unreachable!("probe already hit the horizon"));
             }
             RunOutcome::HorizonReached { .. } => {
-                samples.push((horizon, platform.injected_so_far()));
+                let injected = platform.injected_so_far();
+                samples.push((horizon, injected));
+                if early.is_none() && early_threshold.is_some_and(|t| injected >= t) {
+                    early = Some((horizon, platform.checkpoint()));
+                }
             }
         }
     };
-    let total = platform.injected_so_far();
-    let threshold = total * WARM_PERMILLE / 1000;
-    let warm_until = samples
-        .iter()
-        .find(|(_, injected)| *injected >= threshold)
-        .or(samples.last())
-        .map_or(Time::ZERO, |(at, _)| *at);
-    Ok(WarmProfile {
-        base_cycles: exec.map_or(0, |at| platform.report_at(at).exec_cycles),
-        warm_until,
+    let warm_until = warm_boundary(&samples, platform.injected_so_far());
+    let checkpoint = early
+        .filter(|(at, _)| *at == warm_until)
+        .map(|(_, blob)| (blob, platform.structural_fingerprint()));
+    Ok(ChunkedRun {
+        profile: WarmProfile {
+            base_cycles: exec.map_or(0, |at| platform.report_at(at).exec_cycles),
+            warm_until,
+        },
+        checkpoint,
     })
 }
 
@@ -385,38 +452,82 @@ impl WarmState {
     }
 }
 
-/// Produces the warm state of a request: probes the warm boundary, runs a
-/// fresh platform to it, and checkpoints there.
+/// Produces the warm state of a request: the probe's profile plus a
+/// checkpoint at its warm boundary.
 ///
-/// With a loosely-timed warm gear ([`SweepRequest::fast_gear`]), the probe
-/// and the warm prefix fast-forward through multi-edge windows and the
-/// simulation is shifted back to [`Fidelity::Cycle`] *before* the
-/// checkpoint — exactly like `repro --fast-warm` — so the blob is an
-/// ordinary cycle-gear checkpoint (identical structural fingerprint) and
-/// every served tail is a cycle-accurate continuation.
+/// **Single pass.** The boundary's injection threshold is known before the
+/// run starts (a share of the platform's expected transactions), so the
+/// probe checkpoints at the first chunk boundary that reaches it and keeps
+/// running to quiescence for `base_cycles`. One simulation yields both.
 ///
-/// Deterministic: the same request always produces a byte-identical blob.
+/// **Guard.** At the end the boundary is recomputed from the real final
+/// injected total, exactly as [`probe_warm`] does; the checkpoint is kept
+/// only if its instant is that boundary. Otherwise — or if no chunk ever
+/// reached the threshold — a fresh platform runs from reset to the
+/// boundary and checkpoints there (the two-pass path). Correctness never
+/// depends on the expected transaction count being exact.
+///
+/// **Loosely-timed warm gears.** With [`SweepRequest::fast_gear`] above 1
+/// the warm-up always takes two passes: chunking clamps fast-forward
+/// windows at every chunk boundary, so the probe's trajectory differs from
+/// the uninterrupted prefix run the blob must come from. The prefix runs
+/// in the fast gear and the simulation is shifted back to
+/// [`Fidelity::Cycle`] *before* the checkpoint — exactly like
+/// `repro --fast-warm` — so the blob is an ordinary cycle-gear checkpoint
+/// (identical structural fingerprint) and every served tail is a
+/// cycle-accurate continuation. `fast_gear: Some(1)` is byte-identical to
+/// the cycle gear and takes the single pass.
+///
+/// Deterministic: the same request always produces a byte-identical blob,
+/// whichever path produced it.
 ///
 /// # Errors
 ///
 /// Fails if the platform stalls (model bug).
 pub fn warm_state(req: &SweepRequest) -> SimResult<WarmState> {
-    let spec = req.base_spec();
-    let gear = req.warm_fidelity();
-    let profile = match gear {
-        Fidelity::Cycle => probe_warm(&spec, None)?,
-        fast => probe_warm(&spec, Some(fast))?,
+    let gear = match req.warm_fidelity() {
+        Fidelity::Cycle => None,
+        fast => Some(fast),
     };
-    let mut platform = build_platform(&spec)?;
+    warm_spec_state(&req.base_spec(), gear)
+}
+
+/// [`warm_state`] for a platform spec. `gear` forces the warm-phase gear
+/// as in [`probe_warm`]; `None` keeps the process-wide default.
+pub(crate) fn warm_spec_state(spec: &PlatformSpec, gear: Option<Fidelity>) -> SimResult<WarmState> {
+    let run = chunked_run(spec, gear, |platform| {
+        single_pass_gear(platform.sim().fidelity())
+            .then(|| warm_threshold(platform.expected_transactions()))
+    })?;
+    finish_warm(spec, gear, run)
+}
+
+/// Completes a warm state from a chunked run: its own checkpoint when the
+/// guard kept one, otherwise a fresh platform run from reset to the warm
+/// boundary.
+fn finish_warm(
+    spec: &PlatformSpec,
+    gear: Option<Fidelity>,
+    run: ChunkedRun,
+) -> SimResult<WarmState> {
+    let profile = run.profile;
+    if let Some((blob, fingerprint)) = run.checkpoint {
+        return Ok(WarmState {
+            profile,
+            blob,
+            fingerprint,
+        });
+    }
+    let mut platform = build_platform(spec)?;
     match gear {
-        Fidelity::Cycle => {
+        None => {
             platform.sim_mut().run_until(profile.warm_until);
         }
-        fast => {
-            // Deterministic gear-shift: land on the boundary in the fast
+        Some(gear) => {
+            // Deterministic gear-shift: land on the boundary in the warm
             // gear, then settle cycle-accurately so the checkpoint carries
             // no illegal run-ahead (see fig4_warm_state).
-            platform.sim_mut().set_fidelity(fast);
+            platform.sim_mut().set_fidelity(gear);
             platform.sim_mut().run_until(profile.warm_until);
             platform.sim_mut().set_fidelity(Fidelity::Cycle);
             platform.sim_mut().run_until(profile.warm_until);
@@ -694,5 +805,156 @@ mod tests {
         )
         .expect("serves");
         assert_eq!(serial, parallel);
+    }
+
+    /// The two-pass reference warm-up: the probe, then a fresh platform
+    /// run from reset to the boundary and checkpointed there. Independent
+    /// of the single pass, unlike every other caller of `warm_state`.
+    fn two_pass_oracle(req: &SweepRequest) -> WarmState {
+        let spec = req.base_spec();
+        let gear = req.warm_fidelity();
+        let forced = (gear != Fidelity::Cycle).then_some(gear);
+        let profile = probe_warm(&spec, forced).expect("probe");
+        let mut platform = build_platform(&spec).expect("builds");
+        if let Some(gear) = forced {
+            platform.sim_mut().set_fidelity(gear);
+            platform.sim_mut().run_until(profile.warm_until);
+            platform.sim_mut().set_fidelity(Fidelity::Cycle);
+        }
+        platform.sim_mut().run_until(profile.warm_until);
+        let fingerprint = platform.structural_fingerprint();
+        WarmState {
+            profile,
+            blob: platform.checkpoint(),
+            fingerprint,
+        }
+    }
+
+    fn assert_same_warm_state(got: &WarmState, want: &WarmState, label: &str) {
+        assert_eq!(got.profile, want.profile, "{label}: profile");
+        assert_eq!(got.fingerprint, want.fingerprint, "{label}: fingerprint");
+        assert!(
+            got.blob.as_bytes() == want.blob.as_bytes(),
+            "{label}: checkpoint bytes differ"
+        );
+    }
+
+    const PROTOCOLS: [ProtocolKind; 5] = [
+        ProtocolKind::StbusT1,
+        ProtocolKind::StbusT2,
+        ProtocolKind::StbusT3,
+        ProtocolKind::Ahb,
+        ProtocolKind::Axi,
+    ];
+    const TOPOLOGIES: [Topology; 3] = [
+        Topology::SingleLayer,
+        Topology::Collapsed,
+        Topology::Distributed,
+    ];
+    const WORKLOADS: [Workload; 3] = [
+        Workload::Standard,
+        Workload::TwoPhase,
+        Workload::BurstyPosted,
+    ];
+
+    #[test]
+    fn single_pass_matches_the_two_pass_oracle() {
+        // One case per protocol x topology; workload, seed, base wait
+        // states and gear rotate so every value of each axis is covered.
+        for (p, protocol) in PROTOCOLS.into_iter().enumerate() {
+            for (t, topology) in TOPOLOGIES.into_iter().enumerate() {
+                let i = p * TOPOLOGIES.len() + t;
+                let req = SweepRequest {
+                    protocol,
+                    topology,
+                    workload: WORKLOADS[(p + t) % WORKLOADS.len()],
+                    scale: 1,
+                    seed: [0x0dab, 7][i % 2],
+                    base_wait_states: [1, 4][(i / 2) % 2],
+                    fast_gear: [None, Some(1)][(i / 4) % 2],
+                    ..SweepRequest::default()
+                };
+                assert_same_warm_state(
+                    &warm_state(&req).expect("warm state"),
+                    &two_pass_oracle(&req),
+                    &req.warm_key(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn loosely_timed_warm_up_keeps_two_passes() {
+        let req = SweepRequest {
+            fast_gear: Some(16),
+            ..quick_request()
+        };
+        assert_same_warm_state(
+            &warm_state(&req).expect("warm state"),
+            &two_pass_oracle(&req),
+            &req.warm_key(),
+        );
+    }
+
+    #[test]
+    fn a_wrong_threshold_falls_back_to_the_prefix_run() {
+        let req = quick_request();
+        let spec = req.base_spec();
+        let oracle = two_pass_oracle(&req);
+        // 0 checkpoints at the first chunk, which is never the boundary of
+        // a real run (the early instant disagrees with the recomputed
+        // one); u64::MAX is never reached, so no checkpoint is taken.
+        for threshold in [0, u64::MAX] {
+            let run = chunked_run(&spec, None, |_| Some(threshold)).expect("runs");
+            assert!(run.checkpoint.is_none(), "threshold {threshold}: kept");
+            let warm = finish_warm(&spec, None, run).expect("falls back");
+            assert_same_warm_state(&warm, &oracle, &format!("threshold {threshold}"));
+        }
+    }
+
+    #[test]
+    fn the_single_pass_holds_across_the_paper_platform_matrix() {
+        for protocol in PROTOCOLS {
+            for topology in TOPOLOGIES {
+                for workload in WORKLOADS {
+                    let spec = SweepRequest {
+                        protocol,
+                        topology,
+                        workload,
+                        scale: 1,
+                        ..SweepRequest::default()
+                    }
+                    .base_spec();
+                    let label = format!("{protocol}/{topology:?}/{workload:?}");
+                    let mut platform = build_platform(&spec).expect("builds");
+                    let expected = platform.expected_transactions();
+                    platform
+                        .sim_mut()
+                        .run_to_quiescence_strict(SERVICE_HORIZON)
+                        .expect("drains");
+                    assert_eq!(platform.injected_so_far(), expected, "{label}");
+                    let run = chunked_run(&spec, None, |p| {
+                        Some(warm_threshold(p.expected_transactions()))
+                    })
+                    .expect("runs");
+                    assert!(run.checkpoint.is_some(), "{label}: fell back");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_boundary_edge_cases() {
+        let us = Time::from_us;
+        let samples = [(us(1), 10), (us(2), 50), (us(3), 99)];
+        // 98% of 100 is first reached at the third sample.
+        assert_eq!(warm_boundary(&samples, 100), us(3));
+        // No sample reaches the threshold: the last sample is the boundary.
+        assert_eq!(warm_boundary(&samples[..2], 100), us(2));
+        // A run that drained inside its first chunk warms up from reset.
+        assert_eq!(warm_boundary(&[], 100), Time::ZERO);
+        // The boundary follows the real total, not the expected one: a
+        // run expected to inject 50 would have checkpointed at 2 us.
+        assert_eq!(warm_boundary(&samples, 50), us(2));
     }
 }

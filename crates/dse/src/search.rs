@@ -246,9 +246,10 @@ pub(crate) fn run_search(frontier: &mut Frontier, params: &SearchParams<'_>) -> 
             let keep = alive.len().div_ceil(2).max(finalists).min(alive.len());
             let order = promotion_order(&scores, &ids);
             // Diversity preservation: the best-ranked candidate of every
-            // fabric family survives the cut, so the finalists (and the
-            // front) always span the families still in the race; the
-            // remaining slots go to the global promotion order.
+            // fabric family survives the cut, so the finalists always span
+            // the families still in the race (the front is their Pareto
+            // subset and may not); the remaining slots go to the global
+            // promotion order.
             let mut promoted = vec![false; alive.len()];
             let mut taken = 0usize;
             let mut families_seen = [false; 3];

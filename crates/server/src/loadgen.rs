@@ -144,9 +144,7 @@ impl Client {
     ///
     /// Propagates socket errors.
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        send_line(&mut self.writer, line)
     }
 
     /// Receives one response line.
@@ -486,6 +484,17 @@ fn run_closed(
     })
 }
 
+/// Writes one newline-terminated request line in a single write: a
+/// separate write for the newline would wait on Nagle's algorithm and the
+/// server's delayed ACK, adding tens of milliseconds per request.
+fn send_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    writer.write_all(framed.as_bytes())?;
+    writer.flush()
+}
+
 fn run_open(
     config: &RunConfig,
     mix: &[Cell],
@@ -518,11 +527,7 @@ fn run_open(
                     config.tick_jobs,
                     config.coalesce,
                 );
-                writer
-                    .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .map_err(|e| format!("io: {e}"))?;
+                send_line(&mut writer, &line).map_err(|e| format!("io: {e}"))?;
                 // Latency is measured from the *intended* send instant, not
                 // the actual write: when the writer itself falls behind the
                 // schedule (server back-pressure), the queueing delay is part

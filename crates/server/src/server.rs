@@ -232,6 +232,11 @@ impl Server {
                 loop {
                     match self.listener.accept() {
                         Ok((stream, _)) => {
+                            // Replies are small and often pipelined; without
+                            // TCP_NODELAY Nagle's algorithm holds each one
+                            // until the previous one is acknowledged. A
+                            // refusal only costs latency, so it is ignored.
+                            let _ = stream.set_nodelay(true);
                             if stream.set_nonblocking(true).is_ok() {
                                 conns.insert(next_id, Conn::new(stream));
                                 next_id += 1;
