@@ -6,10 +6,9 @@
 #   ./ci.sh test       # tier-1 release build + workspace tests + smoke runs
 #   ./ci.sh gates      # the equivalence/determinism gates + the server gate
 #   ./ci.sh dse        # design-space search determinism + resume equality
-#   ./ci.sh scaling    # parallel-ticking scaling ladder + identity gates
 #   ./ci.sh bench      # bench guard vs the committed perf ledger
 #
-# The six stages are independent — .github/workflows/ci.yml runs them as
+# The five stages are independent — .github/workflows/ci.yml runs them as
 # parallel jobs — and every gate inside `gates` produces its own reference
 # output, so any single stage can be run standalone on a fresh checkout.
 #
@@ -24,9 +23,8 @@
 #            the same table as the cold sweep, and the measured warm-fork
 #            speedup must clear the repro binary's floor
 #          sparse equivalence: the sparse active-set schedule (default) and
-#            the dense schedule (--dense escape hatch) emit identical tables
-#          parallel equivalence: intra-edge parallel tick execution
-#            (--tick-jobs 4) emits tables byte-identical to the serial run
+#            the dense schedule (--dense escape hatch) emit identical tables,
+#            on fig3 and on the fault-armed robustness experiment
 #          gear equivalence: the loosely-timed gear at quantum 1
 #            (--fast-gear 1) emits tables byte-identical to cycle-accurate
 #          fast-forward floor: a live --fast-warm run must clear the repro
@@ -41,18 +39,10 @@
 #          resume equality: a search checkpointed and interrupted after one
 #            rung, then resumed, must emit the same front as an
 #            uninterrupted run
-#   scaling end-to-end: the fault-armed robustness experiment at
-#            --tick-jobs 1, 2 and 4 must emit byte-identical tables
-#          compute-heavy ladder: kernel_hotpath times the compute-heavy
-#            case over jobs {1,2,4,8}, asserting byte-identity to the
-#            serial run at every rung; on hosts with at least 4 cores the
-#            live parallel-speedup floor is also armed
 #   bench  scheduler throughput vs the committed perf ledger, the
-#          warm-fork/sparse/parallel/fast-forward/server/dse ledger
-#          floors, and
-#          a live run of the idle-heavy kernel_hotpath case against the
-#          sparse floor; on hosts with at least 4 cores, also a live run of
-#          the compute-heavy case against the parallel floor
+#          warm-fork/sparse/fast-forward/server/dse ledger floors, and a
+#          live run of the idle-heavy kernel_hotpath case against the
+#          sparse floor
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -69,7 +59,7 @@ trap cleanup EXIT
 # Strip host-timing lines (the bracketed perf summaries and the totals)
 # before comparing: wall-clock numbers legitimately differ between runs.
 # The "reproducing ..." header is also stripped: it echoes run options
-# (e.g. --tick-jobs) that legitimately differ between equivalent runs.
+# (e.g. --jobs) that legitimately differ between equivalent runs.
 filter_timing() { grep -v -e '^\[' -e '^total:' -e '^perf ledger' -e '^reproducing' "$1"; }
 
 # Just the FIG-4 table: the header line and the right-aligned data rows.
@@ -160,23 +150,21 @@ gate_sparse() {
         echo "sparse gate FAILED: sparse and dense schedules produced different tables" >&2
         exit 1
     fi
-    echo "sparse equivalence gate passed"
-}
 
-gate_parallel() {
-    echo "== parallel equivalence: fig3 serial vs --tick-jobs 4, identical tables =="
-    # The compute/commit split buffers every side effect of a worker-computed
-    # tick and replays it in registration order, so any --tick-jobs value
-    # must reproduce the serial tables byte for byte.
-    fig3_reference
+    echo "== sparse equivalence: robustness sparse vs --dense, identical tables =="
+    # The fault-armed degradation study: every component draws fault
+    # probes from its own stream, so skipping idle ticks must not move a
+    # single injected fault.
     cargo run --release -p mpsoc-bench --bin repro -- \
-        --exp fig3 --scale 1 --tick-jobs 4 --no-bench-out > "$run_dir/tickjobs.txt"
-    if ! diff <(filter_timing "$run_dir/fig3_ref.txt") \
-              <(filter_timing "$run_dir/tickjobs.txt"); then
-        echo "parallel gate FAILED: --tick-jobs 4 produced different tables" >&2
+        --exp robustness --scale 1 --no-bench-out > "$run_dir/robustness_sparse.txt"
+    cargo run --release -p mpsoc-bench --bin repro -- \
+        --exp robustness --scale 1 --dense --no-bench-out > "$run_dir/robustness_dense.txt"
+    if ! diff <(filter_timing "$run_dir/robustness_sparse.txt") \
+              <(filter_timing "$run_dir/robustness_dense.txt"); then
+        echo "sparse gate FAILED: fault-armed robustness tables differ between schedules" >&2
         exit 1
     fi
-    echo "parallel equivalence gate passed"
+    echo "sparse equivalence gate passed"
 }
 
 gate_gear() {
@@ -277,7 +265,6 @@ stage_gates() {
     gate_determinism
     gate_snapshot
     gate_sparse
-    gate_parallel
     gate_gear
     gate_fast_forward
     gate_server
@@ -324,57 +311,13 @@ stage_dse() {
     echo "dse gate passed"
 }
 
-stage_scaling() {
-    echo "== scaling: robustness tables byte-identical at --tick-jobs 1/2/4 =="
-    # The fault-armed degradation study is the hardest identity case: every
-    # worker-computed tick buffers fault-probe draws that the commit phase
-    # replays in serial order. Any tick-jobs value must reproduce the
-    # serial tables byte for byte — on any host, core count irrelevant.
-    for j in 1 2 4; do
-        cargo run --release -p mpsoc-bench --bin repro -- \
-            --exp robustness --scale 1 --tick-jobs "$j" --no-bench-out \
-            > "$run_dir/scaling_j$j.txt"
-    done
-    for j in 2 4; do
-        if ! diff <(filter_timing "$run_dir/scaling_j1.txt") \
-                  <(filter_timing "$run_dir/scaling_j$j.txt"); then
-            echo "scaling gate FAILED: --tick-jobs $j produced different tables" >&2
-            exit 1
-        fi
-    done
-    echo "scaling identity gate passed"
-
-    echo "== scaling: compute-heavy jobs ladder {1,2,4,8} =="
-    # kernel_hotpath times the compute-heavy case at every rung of the
-    # ladder and asserts edge counts, stats reports and state digests
-    # byte-identical to the serial run, plus the <1% retick ceiling. The
-    # speedup floor itself only arms where the host has the cores.
-    if [ "$(nproc)" -ge 4 ]; then
-        echo "   (>= 4 cores: enforcing the live parallel-speedup floor at 4 jobs)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- --min-parallel-speedup 1.5
-    else
-        echo "   ($(nproc) core(s): ladder identity + retick ceiling only, floor not armed)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath
-    fi
-}
-
 stage_bench() {
     echo "== bench guard: throughput + ledger floors vs committed ledger =="
     cargo run --release -p mpsoc-bench --bin repro -- \
         --scale 1 --no-bench-out --check-bench BENCH_kernel.json
 
     echo "== bench guard: live sparse-ticking floor on the idle-heavy case =="
-    # The compute-heavy serial-vs-parallel byte-identity asserts inside the
-    # bench run unconditionally; the parallel speedup *floor* only applies
-    # on hosts that can actually run the workers side by side.
-    if [ "$(nproc)" -ge 4 ]; then
-        echo "   (>= 4 cores: also enforcing the live parallel-speedup floor)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- \
-            --min-sparse-speedup 1.3 --min-parallel-speedup 1.5
-    else
-        echo "   ($(nproc) core(s): skipping the live parallel-speedup floor)"
-        cargo bench -p mpsoc-bench --bench kernel_hotpath -- --min-sparse-speedup 1.3
-    fi
+    cargo bench -p mpsoc-bench --bench kernel_hotpath -- --min-sparse-speedup 1.3
 }
 
 stage="${1:-all}"
@@ -383,18 +326,16 @@ case "$stage" in
     test) stage_test ;;
     gates) stage_gates ;;
     dse) stage_dse ;;
-    scaling) stage_scaling ;;
     bench) stage_bench ;;
     all)
         stage_test
         stage_lint
         stage_gates
         stage_dse
-        stage_scaling
         stage_bench
         ;;
     *)
-        echo "usage: ./ci.sh [lint|test|gates|dse|scaling|bench]" >&2
+        echo "usage: ./ci.sh [lint|test|gates|dse|bench]" >&2
         exit 2
         ;;
 esac

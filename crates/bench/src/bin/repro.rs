@@ -7,7 +7,6 @@
 //! repro --exp fig5           # one experiment
 //! repro --scale 8 --seed 42  # bigger workload, different seed
 //! repro --jobs 4             # parallel sweep points inside fig4 / many-to-many
-//! repro --tick-jobs 4        # intra-edge parallel tick execution (identical tables)
 //! repro --list               # list experiment ids with descriptions
 //! repro --exp fig4 --warm-fork          # checkpoint-forked sweep + speedup
 //! repro --fast-warm                     # loosely-timed warm phase: speedup vs error
@@ -24,11 +23,8 @@
 //! Experiments always run one at a time and print in a fixed order, so the
 //! tables are byte-identical for any `--jobs` value; `--jobs` only fans the
 //! independent simulation instances *inside* the sweep-shaped experiments
-//! out to worker threads. `--tick-jobs` instead parallelizes *within* each
-//! simulation — parallel-safe components are computed on worker threads
-//! against a frozen view and their buffered effects replayed in
-//! registration order — and the kernel guarantees the output stays
-//! byte-identical to serial for any value. Each experiment is followed by a host-side
+//! out to worker threads; each simulation itself always ticks serially.
+//! Each experiment is followed by a host-side
 //! throughput line (scheduler edges/sec and simulated component-cycles/sec,
 //! from the kernel's activity counters), and the measurements are recorded
 //! in a machine-readable ledger. By default that ledger lands in the
@@ -62,9 +58,8 @@
 //! recording run fanned out on a multi-core host — the fan-out speedup.
 
 use mpsoc_bench::{
-    experiment_ids, ledger, measure_experiment, measure_fast_forward, measure_fig4_scaling,
-    measure_warm_fork, set_dse_options, take_dse_run, timetravel, DseOptions, ExperimentRun,
-    Fig4ScalingPoint, EXPERIMENT_REGISTRY,
+    experiment_ids, ledger, measure_experiment, measure_fast_forward, measure_warm_fork,
+    set_dse_options, take_dse_run, timetravel, DseOptions, ExperimentRun, EXPERIMENT_REGISTRY,
 };
 use mpsoc_platform::experiments::{DEFAULT_SCALE, DEFAULT_SEED};
 use serde::Serialize;
@@ -75,7 +70,6 @@ struct Args {
     scale: u64,
     seed: u64,
     jobs: usize,
-    tick_jobs: usize,
     list: bool,
     warm_fork: bool,
     fast_warm: bool,
@@ -98,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
         scale: DEFAULT_SCALE,
         seed: DEFAULT_SEED,
         jobs: 1,
-        tick_jobs: 1,
         list: false,
         warm_fork: false,
         fast_warm: false,
@@ -142,16 +135,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad jobs: {e}"))?;
                 if args.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--tick-jobs" => {
-                args.tick_jobs = it
-                    .next()
-                    .ok_or("--tick-jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad tick jobs: {e}"))?;
-                if args.tick_jobs == 0 {
-                    return Err("--tick-jobs must be at least 1".into());
                 }
             }
             "--list" => args.list = true,
@@ -218,7 +201,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro [--exp <id>] [--scale N] [--seed N] [--jobs N] [--tick-jobs N] [--list] \
+                    "repro [--exp <id>] [--scale N] [--seed N] [--jobs N] [--list] \
                      [--warm-fork] [--fast-warm] [--fast-gear QUANTUM] \
                      [--checkpoint-every NS --rewind-to NS] [--dense] \
                      [--dse-checkpoint <path>] [--dse-checkpoint-every RUNGS] \
@@ -274,16 +257,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The `"experiments"` section of `BENCH_kernel.json`. `fig4_scaling` is
-/// the fig4 sweep timed over the tick-jobs ladder (kernel-v7); it stays
-/// the last field so the per-run scanners, which key on `"id"`, never see
-/// its objects.
+/// The `"experiments"` section of `BENCH_kernel.json`.
 #[derive(Serialize)]
 struct ExperimentsSection {
     scale: u64,
     seed: u64,
     jobs: u64,
-    tick_jobs: u64,
     host_cores: u64,
     dense: bool,
     total_wall_seconds: f64,
@@ -291,7 +270,6 @@ struct ExperimentsSection {
     total_ticks: u64,
     total_skipped: u64,
     runs: Vec<ExperimentRun>,
-    fig4_scaling: Vec<Fig4ScalingPoint>,
 }
 
 fn main() -> ExitCode {
@@ -304,30 +282,25 @@ fn main() -> ExitCode {
     };
     if args.list {
         // Annotate each experiment with the committed ledger's recorded
-        // sparse-skip fraction, fast-forwarded (elided) cycles, and the
-        // parallel-path counters (computed edge-ticks, retick fraction,
-        // serial fallbacks), when a committed ledger exists.
+        // sparse-skip fraction and fast-forwarded (elided) cycles, when a
+        // committed ledger exists.
         let activity = std::fs::read_to_string(ledger::committed_path())
             .map(|doc| ledger::experiment_activity(&doc))
             .unwrap_or_default();
         println!(
-            "{:<14} {:>9} {:>6} {:>10} {:>9} {:>7} {:>8}  description",
-            "experiment", "~scale-1", "skip%", "ff-cycles", "par-ticks", "retick%", "fallback"
+            "{:<14} {:>9} {:>6} {:>10}  description",
+            "experiment", "~scale-1", "skip%", "ff-cycles"
         );
         for desc in EXPERIMENT_REGISTRY {
-            let (skip, ff, par, retick, fallback) = match activity.iter().find(|a| a.id == desc.id)
-            {
+            let (skip, ff) = match activity.iter().find(|a| a.id == desc.id) {
                 Some(a) => (
                     format!("{:.0}%", a.skip_fraction() * 100.0),
                     si_u64(a.ff_elided),
-                    si_u64(a.par_computed),
-                    format!("{:.2}%", a.retick_fraction() * 100.0),
-                    si_u64(a.par_fallback_audit + a.par_fallback_small),
                 ),
-                None => ("-".into(), "-".into(), "-".into(), "-".into(), "-".into()),
+                None => ("-".into(), "-".into()),
             };
             println!(
-                "{:<14} {:>9} {skip:>6} {ff:>10} {par:>9} {retick:>7} {fallback:>8}  {}",
+                "{:<14} {:>9} {skip:>6} {ff:>10}  {}",
                 desc.id, desc.runtime, desc.description
             );
         }
@@ -340,8 +313,7 @@ fn main() -> ExitCode {
     }
     // Explicit worker counts beyond the host's cores are honoured (the
     // user may be chasing an oversubscription bug on purpose), but warned
-    // about: the resulting timings measure scheduler thrash, not the code,
-    // and the automatic scaling recorders clamp instead.
+    // about: the resulting timings measure scheduler thrash, not the code.
     let cores = host_cores();
     if (args.jobs as u64) > cores {
         eprintln!(
@@ -349,19 +321,6 @@ fn main() -> ExitCode {
              measure oversubscription, not scaling",
             args.jobs
         );
-    }
-    if (args.tick_jobs as u64) > cores {
-        eprintln!(
-            "warning: --tick-jobs {} exceeds this host's {cores} core(s); timings will \
-             measure oversubscription, not scaling (tables stay byte-identical)",
-            args.tick_jobs
-        );
-    }
-    if args.tick_jobs > 1 {
-        // Every simulation the experiments build (via PlatformBuilder)
-        // picks this up at construction; tables stay byte-identical to a
-        // serial run by the kernel's commit-phase determinism guarantee.
-        mpsoc_kernel::set_tick_jobs_default(args.tick_jobs);
     }
     if let Some(quantum) = args.fast_gear {
         // Every simulation built from here on starts in the loosely-timed
@@ -392,12 +351,11 @@ fn main() -> ExitCode {
         None => experiment_ids(),
     };
     println!(
-        "reproducing {} experiment(s), scale {}, seed {:#x}, jobs {}, tick-jobs {}{}\n",
+        "reproducing {} experiment(s), scale {}, seed {:#x}, jobs {}{}\n",
         ids.len(),
         args.scale,
         args.seed,
         args.jobs,
-        args.tick_jobs,
         match args.fast_gear {
             Some(quantum) => format!(", fast-gear quantum {quantum}"),
             None => String::new(),
@@ -418,37 +376,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // A full-suite ledger refresh also times the fig4 sweep over the
-    // tick-jobs ladder (the end-to-end face of the per-jobs scaling
-    // curve); single-experiment runs skip it to stay fast.
-    let fig4_scaling = if args.bench_out && args.exp.is_none() {
-        match measure_fig4_scaling(args.scale, args.seed, args.tick_jobs) {
-            Ok(run) => {
-                let points: Vec<String> = run
-                    .points
-                    .iter()
-                    .map(|p| format!("{}j {:.2}x", p.jobs, p.speedup))
-                    .collect();
-                println!(
-                    "fig4 tick-jobs scaling (tables byte-identical): {}",
-                    points.join(", ")
-                );
-                run.points
-            }
-            Err(e) => {
-                eprintln!("fig4 scaling measurement failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
     let section = ExperimentsSection {
         scale: args.scale,
         seed: args.seed,
         jobs: args.jobs as u64,
-        tick_jobs: args.tick_jobs as u64,
         host_cores: host_cores(),
         dense: args.dense,
         total_wall_seconds: runs.iter().map(|r| r.wall_seconds).sum(),
@@ -456,7 +387,6 @@ fn main() -> ExitCode {
         total_ticks: runs.iter().map(|r| r.ticks).sum(),
         total_skipped: runs.iter().map(|r| r.skipped).sum(),
         runs,
-        fig4_scaling,
     };
     println!(
         "total: {} edges, {} sim cycles ({} skipped) in {:.2}s host time",
@@ -590,35 +520,6 @@ const MIN_WARM_FORK_SPEEDUP: f64 = 1.5;
 /// clear margin where idleness dominates, or sparse scheduling has
 /// regressed into bookkeeping overhead.
 const MIN_SPARSE_SPEEDUP: f64 = 1.3;
-
-/// Minimum serial-vs-parallel speedup the `"parallel"` ledger section (the
-/// compute-heavy `kernel_hotpath` case at 4 worker threads) must show for
-/// [`check_bench`] to pass — *when the recording host actually had the
-/// cores to run the workers*. A ledger recorded on a box with fewer cores
-/// than tick jobs only warns: the floor is a property of the scheduler,
-/// not of an oversubscribed host.
-const MIN_PARALLEL_SPEEDUP: f64 = 1.5;
-
-/// Minimum speedup the jobs = 8 point of the `"parallel"` section's
-/// scaling curve must show for [`check_bench`] to pass — the headline
-/// number of the sharded-active-set scheduler on the compute-heavy
-/// microbench. Core-gated on 8 recorded host cores: a curve recorded on a
-/// smaller box only warns.
-const MIN_PARALLEL_SPEEDUP_8: f64 = 3.0;
-
-/// Minimum speedup the jobs = 8 point of the `"experiments"` section's
-/// `fig4_scaling` curve must show for [`check_bench`] to pass: the
-/// end-to-end paper sweep is lighter per edge than the microbench, so the
-/// bar is only "parallel ticking must not lose to serial". Core-gated on
-/// 8 recorded host cores.
-const MIN_FIG4_SCALING_SPEEDUP: f64 = 1.01;
-
-/// Maximum fraction of parallel-computed edge-ticks that may be thrown
-/// away and re-run serially (stats-registration or RNG-divergence
-/// aborts) before [`check_bench`] fails the live run: reticks are pure
-/// waste, and pre-registered metrics plus speculative RNG substreams are
-/// supposed to have eliminated them on the paper experiments.
-const MAX_RETICK_FRACTION: f64 = 0.01;
 
 /// Minimum p50 miss/hit latency ratio the `"server"` ledger section must
 /// show for [`check_bench`] to pass — *when the recording host had more
@@ -777,64 +678,6 @@ fn check_bench(baseline: &std::path::Path, runs: &[ExperimentRun], args: &Args) 
             regressed = true;
         }
     }
-    match ledger::parallel_speedup(&doc) {
-        Some(speedup) => {
-            let cores = ledger::parallel_host_cores(&doc);
-            let jobs = ledger::parallel_tick_jobs(&doc);
-            match ledger::core_gated_floor(speedup, MIN_PARALLEL_SPEEDUP, cores, jobs) {
-                ledger::FloorVerdict::Met => {
-                    println!(
-                        "[check parallel speedup {speedup:.2}x >= {MIN_PARALLEL_SPEEDUP}x — ok]"
-                    );
-                }
-                ledger::FloorVerdict::Ungated => {
-                    // The recording host could not physically run the
-                    // workers side by side; the measurement is still
-                    // byte-identity-checked, just not a speedup sample.
-                    println!(
-                        "[check parallel speedup {speedup:.2}x below {MIN_PARALLEL_SPEEDUP}x, \
-                         but recorded host_cores {} < requested tick_jobs {} — \
-                         warning only]",
-                        cores.expect("ungated implies recorded"),
-                        jobs.expect("ungated implies recorded"),
-                    );
-                }
-                ledger::FloorVerdict::Missed => {
-                    eprintln!(
-                        "parallel check failed: speedup {speedup:.2}x below the \
-                         {MIN_PARALLEL_SPEEDUP}x floor in {} (recorded host_cores {}, \
-                         requested tick_jobs {})",
-                        baseline.display(),
-                        cores.map_or_else(|| "unknown".into(), |c| c.to_string()),
-                        jobs.map_or_else(|| "unknown".into(), |j| j.to_string()),
-                    );
-                    regressed = true;
-                }
-            }
-        }
-        None => {
-            eprintln!(
-                "parallel check failed: {} has no parallel section (run \
-                 `cargo bench -p mpsoc-bench --bench kernel_hotpath -- --committed`)",
-                baseline.display()
-            );
-            regressed = true;
-        }
-    }
-    if let (Some(jobs), cores) = (ledger::parallel_tick_jobs(&doc), host_cores()) {
-        if cores < jobs {
-            println!(
-                "[note: this host has {cores} core(s), baseline parallel section used \
-                 {jobs} jobs — live parallel re-measurement would not be meaningful]"
-            );
-        }
-    }
-    if !check_scaling_doc(&doc, baseline) {
-        regressed = true;
-    }
-    if !check_retick_fraction(runs) {
-        regressed = true;
-    }
     if !check_fast_forward_doc(&doc, baseline, Some(args)) {
         regressed = true;
     }
@@ -858,137 +701,6 @@ fn check_bench(baseline: &std::path::Path, runs: &[ExperimentRun], args: &Args) 
         MAX_REGRESSION * 100.0
     );
     ExitCode::SUCCESS
-}
-
-/// Enforces the kernel-v7 per-jobs scaling curves: the `"parallel"`
-/// section's `scaling` array must carry a jobs = 8 point at or above
-/// [`MIN_PARALLEL_SPEEDUP_8`], and the `"experiments"` section's
-/// `fig4_scaling` array a jobs = 8 point at or above
-/// [`MIN_FIG4_SCALING_SPEEDUP`]. Both floors are core-gated on 8 recorded
-/// host cores (byte-identity across the ladder is asserted by the
-/// recorders themselves, so an undersized host still proves correctness —
-/// just not speed). Missing curves fail outright: a v7 ledger without
-/// them was recorded by a stale toolchain. Returns whether both pass.
-fn check_scaling_doc(doc: &str, baseline: &std::path::Path) -> bool {
-    let mut ok = true;
-    let curve = ledger::parallel_scaling(doc);
-    match curve.iter().find(|p| p.jobs == 8) {
-        Some(point) => {
-            let cores = ledger::parallel_host_cores(doc);
-            match ledger::core_gated_floor(point.speedup, MIN_PARALLEL_SPEEDUP_8, cores, Some(8)) {
-                ledger::FloorVerdict::Met => {
-                    println!(
-                        "[check parallel scaling @8 jobs {:.2}x >= \
-                         {MIN_PARALLEL_SPEEDUP_8}x — ok]",
-                        point.speedup
-                    );
-                }
-                ledger::FloorVerdict::Ungated => {
-                    println!(
-                        "[check parallel scaling @8 jobs {:.2}x below \
-                         {MIN_PARALLEL_SPEEDUP_8}x, but recorded host_cores {} < 8 — \
-                         warning only]",
-                        point.speedup,
-                        cores.expect("ungated implies recorded"),
-                    );
-                }
-                ledger::FloorVerdict::Missed => {
-                    eprintln!(
-                        "scaling check failed: parallel speedup @8 jobs {:.2}x below the \
-                         {MIN_PARALLEL_SPEEDUP_8}x floor in {} (recorded host_cores {})",
-                        point.speedup,
-                        baseline.display(),
-                        cores.map_or_else(|| "unknown".into(), |c| c.to_string()),
-                    );
-                    ok = false;
-                }
-            }
-        }
-        None => {
-            eprintln!(
-                "scaling check failed: {} has no jobs=8 point in the parallel scaling \
-                 curve (run `cargo bench -p mpsoc-bench --bench kernel_hotpath -- \
-                 --committed`)",
-                baseline.display()
-            );
-            ok = false;
-        }
-    }
-    let fig4 = ledger::fig4_scaling(doc);
-    match fig4.iter().find(|p| p.jobs == 8) {
-        Some(point) => {
-            let cores = ledger::experiments_host_cores(doc);
-            match ledger::core_gated_floor(point.speedup, MIN_FIG4_SCALING_SPEEDUP, cores, Some(8))
-            {
-                ledger::FloorVerdict::Met => {
-                    println!(
-                        "[check fig4 scaling @8 jobs {:.2}x > 1x — ok]",
-                        point.speedup
-                    );
-                }
-                ledger::FloorVerdict::Ungated => {
-                    println!(
-                        "[check fig4 scaling @8 jobs {:.2}x below \
-                         {MIN_FIG4_SCALING_SPEEDUP}x, but recorded host_cores {} < 8 — \
-                         warning only]",
-                        point.speedup,
-                        cores.expect("ungated implies recorded"),
-                    );
-                }
-                ledger::FloorVerdict::Missed => {
-                    eprintln!(
-                        "scaling check failed: fig4 speedup @8 jobs {:.2}x below the \
-                         {MIN_FIG4_SCALING_SPEEDUP}x floor in {} (recorded host_cores {})",
-                        point.speedup,
-                        baseline.display(),
-                        cores.map_or_else(|| "unknown".into(), |c| c.to_string()),
-                    );
-                    ok = false;
-                }
-            }
-        }
-        None => {
-            eprintln!(
-                "scaling check failed: {} has no jobs=8 point in the fig4 scaling curve \
-                 (run `repro --bench-out <path>` for the full suite)",
-                baseline.display()
-            );
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// Enforces [`MAX_RETICK_FRACTION`] on the *live* runs just measured: when
-/// the suite took the parallel path at all, the fraction of computed
-/// edge-ticks that had to be thrown away and re-run serially must stay
-/// under 1 %. A serial run (`par_computed == 0` everywhere) passes
-/// trivially. Returns whether the check passes.
-fn check_retick_fraction(runs: &[ExperimentRun]) -> bool {
-    let computed: u64 = runs.iter().map(|r| r.par_computed).sum();
-    let reticked: u64 = runs.iter().map(|r| r.par_reticked).sum();
-    if computed == 0 {
-        return true;
-    }
-    let fraction = reticked as f64 / computed as f64;
-    if fraction < MAX_RETICK_FRACTION {
-        println!(
-            "[check parallel reticks {reticked} / {computed} computed ({:.3}%) < \
-             {:.0}% — ok]",
-            fraction * 100.0,
-            MAX_RETICK_FRACTION * 100.0
-        );
-        true
-    } else {
-        eprintln!(
-            "retick check failed: {reticked} of {computed} parallel-computed edge-ticks \
-             ({:.2}%) were thrown away and re-run serially (floor {:.0}%) — a component \
-             is minting stats ids or drawing unannounced RNG inside parallel ticks",
-            fraction * 100.0,
-            MAX_RETICK_FRACTION * 100.0
-        );
-        false
-    }
 }
 
 /// Enforces the `"server"` ledger section: it must exist (the sweep server

@@ -85,17 +85,18 @@ pub fn committed_path() -> PathBuf {
 /// `cold_start_first_micros`, `warm_restart_first_micros` and the
 /// per-connections `conn_scaling` curve) and annotated scaling-curve
 /// points with `effective_jobs`/`oversubscribed` (worker counts are now
-/// clamped to the host's cores unless forced). Readers scan by field
-/// prefix and accept any version.
-pub const SCHEMA: &str = "mpsoc-bench/kernel-v8";
+/// clamped to the host's cores unless forced); `v9` removed intra-edge
+/// parallel ticking and with it the `"parallel"` section, the
+/// `fig4_scaling` array and the per-experiment `par_*` counters. Readers
+/// scan by field prefix and accept any version.
+pub const SCHEMA: &str = "mpsoc-bench/kernel-v9";
 
 /// The known top-level sections, in the order they appear in the file.
-const SECTIONS: [&str; 8] = [
+const SECTIONS: [&str; 7] = [
     "experiments",
     "warm_fork",
     "microbench",
     "sparse",
-    "parallel",
     "fast_forward",
     "server",
     "dse",
@@ -197,90 +198,6 @@ pub fn warm_fork_speedup(doc: &str) -> Option<f64> {
 /// `None` when the section is absent or malformed.
 pub fn sparse_speedup(doc: &str) -> Option<f64> {
     section_speedup(doc, "sparse")
-}
-
-/// Pulls the measured serial-vs-parallel speedup out of a ledger
-/// document's `"parallel"` section (the compute-heavy `kernel_hotpath`
-/// case run with worker threads). Returns `None` when the section is
-/// absent or malformed.
-pub fn parallel_speedup(doc: &str) -> Option<f64> {
-    section_speedup(doc, "parallel")
-}
-
-/// Pulls the host core count recorded alongside the `"parallel"` section's
-/// measurement. A speedup measured on a box with fewer cores than worker
-/// threads is expected to miss the floor; readers use this to warn instead
-/// of failing.
-pub fn parallel_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "parallel", "host_cores")
-}
-
-/// Pulls the worker-thread count the `"parallel"` section was measured at.
-pub fn parallel_tick_jobs(doc: &str) -> Option<u64> {
-    section_u64(doc, "parallel", "tick_jobs")
-}
-
-/// One point of a recorded per-jobs scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Worker-thread count the point was measured at.
-    pub jobs: u64,
-    /// Host-side throughput at that job count (0 when the writer only
-    /// recorded wall times).
-    pub edges_per_sec: f64,
-    /// Speedup over the jobs = 1 point of the same curve.
-    pub speedup: f64,
-}
-
-/// Pulls the compute-heavy microbench's per-jobs scaling curve out of a
-/// ledger document's `"parallel"` section (`scaling` array, recorded by
-/// `kernel_hotpath` since kernel-v7). Empty for pre-v7 ledgers.
-pub fn parallel_scaling(doc: &str) -> Vec<ScalingPoint> {
-    extract_section(doc, "parallel")
-        .map(|s| scan_scaling(&s, "scaling"))
-        .unwrap_or_default()
-}
-
-/// Pulls the host core count recorded alongside the `"experiments"`
-/// section's measurement. Like [`parallel_host_cores`], readers use this
-/// to core-gate the fig4 scaling floor.
-pub fn experiments_host_cores(doc: &str) -> Option<u64> {
-    section_u64(doc, "experiments", "host_cores")
-}
-
-/// Pulls the end-to-end fig4 sweep's per-jobs scaling curve out of a
-/// ledger document's `"experiments"` section (`fig4_scaling` array,
-/// recorded by `repro --bench-out` since kernel-v7). Empty for pre-v7
-/// ledgers or single-experiment recordings.
-pub fn fig4_scaling(doc: &str) -> Vec<ScalingPoint> {
-    extract_section(doc, "experiments")
-        .map(|s| scan_scaling(&s, "fig4_scaling"))
-        .unwrap_or_default()
-}
-
-/// Scans `fragment` for a `"<field>":[{...},...]` array of scaling points.
-/// Each point needs `jobs` and `speedup`; `edges_per_sec` is optional
-/// (fig4 points record wall seconds instead).
-fn scan_scaling(fragment: &str, field: &str) -> Vec<ScalingPoint> {
-    let tag = format!("\"{field}\":[");
-    let Some(pos) = fragment.find(&tag) else {
-        return Vec::new();
-    };
-    let rest = &fragment[pos + tag.len()..];
-    let end = rest.find(']').unwrap_or(rest.len());
-    let mut points = Vec::new();
-    for object in rest[..end].split('{').skip(1) {
-        let (Some(jobs), Some(speedup)) = (field_u64(object, "jobs"), field_f64(object, "speedup"))
-        else {
-            continue;
-        };
-        points.push(ScalingPoint {
-            jobs,
-            edges_per_sec: field_f64(object, "edges_per_sec").unwrap_or(0.0),
-            speedup,
-        });
-    }
-    points
 }
 
 /// Pulls the measured cycle-vs-fast warm-phase speedup out of a ledger
@@ -506,16 +423,6 @@ pub struct ExperimentActivity {
     pub skipped: u64,
     /// Component-cycles elided by fast-forward windows.
     pub ff_elided: u64,
-    /// Clock edges that took the intra-edge parallel path.
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path.
-    pub par_computed: u64,
-    /// Parallel-computed ticks re-run serially after a failed commit.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back because skip-audit was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back for lack of eligible work.
-    pub par_fallback_small: u64,
 }
 
 impl ExperimentActivity {
@@ -526,16 +433,6 @@ impl ExperimentActivity {
             0.0
         } else {
             self.skipped as f64 / total as f64
-        }
-    }
-
-    /// Fraction of parallel-computed ticks that had to be re-run
-    /// serially (0 when the run never took the parallel path).
-    pub fn retick_fraction(&self) -> f64 {
-        if self.par_computed == 0 {
-            0.0
-        } else {
-            self.par_reticked as f64 / self.par_computed as f64
         }
     }
 }
@@ -561,11 +458,6 @@ pub fn experiment_activity(doc: &str) -> Vec<ExperimentActivity> {
             ticks: field_u64(run, "ticks").unwrap_or(0),
             skipped: field_u64(run, "skipped").unwrap_or(0),
             ff_elided: field_u64(run, "ff_elided").unwrap_or(0),
-            par_edges: field_u64(run, "par_edges").unwrap_or(0),
-            par_computed: field_u64(run, "par_computed").unwrap_or(0),
-            par_reticked: field_u64(run, "par_reticked").unwrap_or(0),
-            par_fallback_audit: field_u64(run, "par_fallback_audit").unwrap_or(0),
-            par_fallback_small: field_u64(run, "par_fallback_small").unwrap_or(0),
         });
         rest = &rest[run_end..];
     }
@@ -635,7 +527,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         update_section(&path, "experiments", r#"{"runs":[]}"#).expect("writes");
         let doc = std::fs::read_to_string(&path).expect("readable");
-        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v8""#));
+        assert!(doc.contains(r#""schema": "mpsoc-bench/kernel-v9""#));
         assert!(doc.contains(r#""experiments": {"runs":[]}"#));
         assert!(!doc.contains("microbench"));
         std::fs::remove_file(&path).expect("cleanup");
@@ -693,21 +585,6 @@ mod tests {
         );
         assert_eq!(sparse_speedup(doc), Some(3.25));
         assert_eq!(sparse_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn parallel_section_is_scanned() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"parallel\": {\"tick_jobs\":4,\"host_cores\":8,",
-            "\"serial_edges_per_sec\":1.0,\"parallel_edges_per_sec\":2.1,",
-            "\"speedup\":2.1}\n}\n"
-        );
-        assert_eq!(parallel_speedup(doc), Some(2.1));
-        assert_eq!(parallel_host_cores(doc), Some(8));
-        assert_eq!(parallel_tick_jobs(doc), Some(4));
-        assert_eq!(parallel_speedup("{}\n"), None);
-        assert_eq!(parallel_host_cores("{}\n"), None);
     }
 
     #[test]
@@ -790,54 +667,6 @@ mod tests {
         assert_eq!(dse_host_cores(doc), Some(8));
         assert_eq!(dse_front_size("{}\n"), None);
         assert_eq!(dse_fanout_speedup("{}\n"), None);
-    }
-
-    #[test]
-    fn scaling_curves_are_scanned_from_both_sections() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[],",
-            "\"fig4_scaling\":[{\"jobs\":1,\"wall_seconds\":0.4,\"speedup\":1.0},",
-            "{\"jobs\":8,\"wall_seconds\":0.1,\"speedup\":4.0}]},\n",
-            "\"parallel\": {\"tick_jobs\":4,\"host_cores\":8,\"speedup\":2.1,",
-            "\"scaling\":[{\"jobs\":1,\"edges_per_sec\":1000.0,\"speedup\":1.0},",
-            "{\"jobs\":2,\"edges_per_sec\":1900.0,\"speedup\":1.9},",
-            "{\"jobs\":8,\"edges_per_sec\":3400.0,\"speedup\":3.4}]}\n}\n"
-        );
-        let curve = parallel_scaling(doc);
-        assert_eq!(curve.len(), 3);
-        assert_eq!(curve[0].jobs, 1);
-        assert!((curve[2].speedup - 3.4).abs() < 1e-9);
-        assert!((curve[1].edges_per_sec - 1900.0).abs() < 1e-9);
-        let fig4 = fig4_scaling(doc);
-        assert_eq!(fig4.len(), 2);
-        assert_eq!(fig4[1].jobs, 8);
-        assert!((fig4[1].speedup - 4.0).abs() < 1e-9);
-        // fig4 points carry no edges_per_sec; the scanner defaults it.
-        assert_eq!(fig4[0].edges_per_sec, 0.0);
-        assert!(parallel_scaling("{}\n").is_empty());
-        assert!(fig4_scaling("{}\n").is_empty());
-    }
-
-    #[test]
-    fn experiment_activity_scans_parallel_counters() {
-        let doc = concat!(
-            "{\n\"schema\": \"x\",\n",
-            "\"experiments\": {\"scale\":1,\"runs\":[",
-            "{\"id\":\"fig4\",\"wall_seconds\":0.1,\"edges\":4,\"ticks\":8,",
-            "\"par_edges\":3,\"par_computed\":200,\"par_reticked\":1,",
-            "\"par_fallback_audit\":2,\"par_fallback_small\":5,",
-            "\"edges_per_sec\":99,\"sim_cycles_per_sec\":1.0}",
-            "]}\n}\n"
-        );
-        let activity = experiment_activity(doc);
-        assert_eq!(activity.len(), 1);
-        assert_eq!(activity[0].par_edges, 3);
-        assert_eq!(activity[0].par_computed, 200);
-        assert_eq!(activity[0].par_reticked, 1);
-        assert_eq!(activity[0].par_fallback_audit, 2);
-        assert_eq!(activity[0].par_fallback_small, 5);
-        assert!((activity[0].retick_fraction() - 0.005).abs() < 1e-9);
     }
 
     #[test]

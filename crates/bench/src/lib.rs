@@ -382,21 +382,6 @@ pub struct ExperimentRun {
     /// Component-cycles elided inside fast-forward windows (slept over by
     /// the components' own `sleep_until` declarations).
     pub ff_elided: u64,
-    /// Clock edges that took the intra-edge parallel path (zero for a
-    /// serial run).
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path (worker or
-    /// main-thread shard).
-    pub par_computed: u64,
-    /// Parallel-computed ticks whose buffered effects failed commit-time
-    /// validation and were re-run serially.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back to serial because skip-audit
-    /// was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back to serial for lack of
-    /// eligible work.
-    pub par_fallback_small: u64,
     /// Host-side scheduler throughput: `edges / wall_seconds`.
     pub edges_per_sec: f64,
     /// Simulated component-cycles per host second: `ticks / wall_seconds`.
@@ -415,29 +400,10 @@ impl ExperimentRun {
         }
     }
 
-    /// Fraction of parallel-computed ticks that had to be re-run
-    /// serially (0 when the run never took the parallel path).
-    pub fn retick_fraction(&self) -> f64 {
-        if self.par_computed == 0 {
-            0.0
-        } else {
-            self.par_reticked as f64 / self.par_computed as f64
-        }
-    }
-
     /// One-line human-readable performance summary.
     pub fn perf_line(&self) -> String {
-        let parallel = if self.par_computed > 0 {
-            format!(
-                ", {} par ticks ({:.2}% reticked)",
-                si(self.par_computed as f64),
-                self.retick_fraction() * 100.0,
-            )
-        } else {
-            String::new()
-        };
         format!(
-            "[{} done in {:.2}s — {} edges/s, {} sim cycles/s, {:.0}% ticks skipped{parallel}]",
+            "[{} done in {:.2}s — {} edges/s, {} sim cycles/s, {:.0}% ticks skipped]",
             self.id,
             self.wall_seconds,
             si(self.edges_per_sec),
@@ -485,112 +451,9 @@ pub fn measure_experiment(
         skipped: delta.skipped,
         ff_windows: delta.ff_windows,
         ff_elided: delta.ff_elided,
-        par_edges: delta.par_edges,
-        par_computed: delta.par_computed,
-        par_reticked: delta.par_reticked,
-        par_fallback_audit: delta.par_fallback_audit,
-        par_fallback_small: delta.par_fallback_small,
         edges_per_sec: delta.edges as f64 / wall_seconds,
         sim_cycles_per_sec: delta.ticks as f64 / wall_seconds,
     })
-}
-
-/// One point of the fig4 per-jobs scaling curve recorded by
-/// [`measure_fig4_scaling`].
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig4ScalingPoint {
-    /// The ladder rung: intra-edge worker threads the sweep asked for.
-    pub jobs: u64,
-    /// Worker threads the sweep actually ran with after clamping the rung
-    /// to the host's cores. Oversubscribing a rung measures scheduler
-    /// thrash, not scaling (a one-core host "scales" to 0.02x), so the
-    /// recorder clamps and annotates instead of running it.
-    pub effective_jobs: u64,
-    /// Whether this rung was clamped (`effective_jobs < jobs`).
-    pub oversubscribed: bool,
-    /// Wall-clock seconds of the sweep at that job count.
-    pub wall_seconds: f64,
-    /// Speedup over the jobs = 1 sweep of the same curve.
-    pub speedup: f64,
-}
-
-/// The fig4 sweep timed over the jobs ∈ {1, 2, 4, 8} ladder of intra-edge
-/// tick parallelism, with every table proven byte-identical to the serial
-/// one. Produced by [`measure_fig4_scaling`]; recorded as the
-/// `fig4_scaling` array of the ledger's `"experiments"` section.
-#[derive(Debug, Clone)]
-pub struct Fig4ScalingRun {
-    /// Hardware threads of the recording host (the scaling floors only
-    /// arm when the host could actually run the workers).
-    pub host_cores: u64,
-    /// One point per job count, in ladder order.
-    pub points: Vec<Fig4ScalingPoint>,
-}
-
-/// The job ladder every per-jobs scaling curve is measured over.
-pub const SCALING_JOBS: [usize; 4] = [1, 2, 4, 8];
-
-/// Times the fig4 sweep at every point of [`SCALING_JOBS`] intra-edge
-/// worker threads and proves each table byte-identical to the serial one.
-///
-/// The tick-jobs default is process-global (experiments pick it up at
-/// platform construction), so the caller's value is restored via
-/// `restore_tick_jobs` afterwards — including on the error path.
-///
-/// # Errors
-///
-/// Fails if a sweep stalls, or — the self-check — if any job count's
-/// table differs from the serial one in any byte.
-pub fn measure_fig4_scaling(
-    scale: u64,
-    seed: u64,
-    restore_tick_jobs: usize,
-) -> SimResult<Fig4ScalingRun> {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let result = (|| {
-        let mut points = Vec::with_capacity(SCALING_JOBS.len());
-        let mut serial: Option<(String, f64)> = None;
-        for &jobs in &SCALING_JOBS {
-            // Clamp oversubscribed rungs: asking a one-core host for eight
-            // workers records scheduler thrash as a 0.02x "speedup".
-            let effective_jobs = jobs.min(host_cores);
-            mpsoc_kernel::set_tick_jobs_default(effective_jobs);
-            let started = Instant::now();
-            let table = experiments::fig4_with_jobs(scale, seed, 1)?.to_string();
-            let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-            let serial_seconds = match &serial {
-                None => {
-                    serial = Some((table.clone(), wall_seconds));
-                    wall_seconds
-                }
-                Some((serial_table, serial_seconds)) => {
-                    if *serial_table != table {
-                        return Err(SimError::InvalidConfig {
-                            reason: format!(
-                                "fig4 scaling self-check failed: the tick-jobs={jobs} table \
-                                 differs from the serial one\n--- serial ---\n{serial_table}\n\
-                                 --- tick-jobs={jobs} ---\n{table}"
-                            ),
-                        });
-                    }
-                    *serial_seconds
-                }
-            };
-            points.push(Fig4ScalingPoint {
-                jobs: jobs as u64,
-                effective_jobs: effective_jobs as u64,
-                oversubscribed: effective_jobs < jobs,
-                wall_seconds,
-                speedup: serial_seconds / wall_seconds,
-            });
-        }
-        Ok(Fig4ScalingRun {
-            host_cores: host_cores as u64,
-            points,
-        })
-    })();
-    mpsoc_kernel::set_tick_jobs_default(restore_tick_jobs);
-    result
 }
 
 /// The `repro --warm-fork` measurement: the fig4 sweep run twice, once
@@ -824,20 +687,5 @@ mod tests {
         let run = measure_warm_fork(1, 0x0dab, 1).expect("warm fork runs");
         assert!(run.table.contains("FIG-4"));
         assert!(run.cold_seconds > 0.0 && run.fork_seconds > 0.0);
-    }
-
-    #[test]
-    fn fig4_scaling_covers_the_job_ladder() {
-        let run = measure_fig4_scaling(1, 0x0dab, 1).expect("scaling runs");
-        assert_eq!(run.points.len(), SCALING_JOBS.len());
-        assert_eq!(run.points[0].jobs, 1);
-        assert!((run.points[0].speedup - 1.0).abs() < 1e-9);
-        assert!(run.points.iter().all(|p| p.wall_seconds > 0.0));
-        assert!(run.host_cores >= 1);
-        for p in &run.points {
-            assert!(p.effective_jobs >= 1 && p.effective_jobs <= p.jobs);
-            assert_eq!(p.effective_jobs, p.jobs.min(run.host_cores));
-            assert_eq!(p.oversubscribed, p.effective_jobs < p.jobs);
-        }
     }
 }

@@ -520,10 +520,6 @@ impl Component<Packet> for BridgeTargetSide {
             && self.dead_letters.is_empty()
     }
 
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
     fn watched_links(&self) -> Option<Vec<LinkId>> {
         Some(vec![self.req_in, self.resp_fifo])
     }
@@ -601,10 +597,6 @@ impl Component<Packet> for BridgeInitiatorSide {
                 .push(self.req_out, now, pkt)
                 .expect("can_push checked");
         }
-    }
-
-    fn parallel_safe(&self) -> bool {
-        true
     }
 
     fn watched_links(&self) -> Option<Vec<LinkId>> {

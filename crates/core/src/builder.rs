@@ -143,14 +143,11 @@ pub struct PlatformBuilder {
 impl PlatformBuilder {
     /// Creates a builder whose simulation RNG is seeded with `seed`.
     ///
-    /// The simulation honours the process-wide execution defaults: the
-    /// dense/sparse schedule and the tick-job count (see
-    /// [`set_tick_jobs_default`](mpsoc_kernel::set_tick_jobs_default)).
+    /// The simulation honours the process-wide execution defaults (the
+    /// dense/sparse schedule and the fidelity gear).
     pub fn new(seed: u64) -> Self {
-        let mut sim = Simulation::with_seed(seed);
-        sim.set_tick_jobs(mpsoc_kernel::tick_jobs_default());
         PlatformBuilder {
-            sim,
+            sim: Simulation::with_seed(seed),
             buses: Vec::new(),
             bus_widths: Vec::new(),
             next_initiator: 0,

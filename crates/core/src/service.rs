@@ -68,7 +68,7 @@ pub const CHUNK: Time = Time::from_us(1);
 pub const SERVICE_HORIZON: Time = Time::from_ms(60);
 
 /// One decoded sweep request: the platform the warm phase is built for
-/// plus the point's own knobs (wait states, warm-phase gear, tick jobs).
+/// plus the point's own knobs (wait states, warm-phase gear).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRequest {
     /// Interconnect protocol of every bus layer.
@@ -90,10 +90,6 @@ pub struct SweepRequest {
     /// `repro --fast-warm`; the tail past the boundary is always
     /// cycle-accurate.
     pub fast_gear: Option<u64>,
-    /// Worker threads for intra-edge parallel ticking of the served tail
-    /// (byte-identical to serial for any value, by the kernel's
-    /// compute/commit determinism guarantee).
-    pub tick_jobs: usize,
 }
 
 impl Default for SweepRequest {
@@ -107,7 +103,6 @@ impl Default for SweepRequest {
             base_wait_states: BASE_WAIT_STATES,
             wait_states: BASE_WAIT_STATES,
             fast_gear: None,
-            tick_jobs: 1,
         }
     }
 }
@@ -213,8 +208,8 @@ impl SweepRequest {
 
     /// The canonical warm-identity key: every request field that changes
     /// the warm checkpoint, in a stable textual form. Requests with equal
-    /// keys share a warm blob; the sweep-axis value and the tail knobs
-    /// (`wait_states`, `tick_jobs`) are deliberately excluded.
+    /// keys share a warm blob; the sweep-axis value (`wait_states`) is
+    /// deliberately excluded.
     pub fn warm_key(&self) -> String {
         format!(
             "{}/{}/{}/s{}/x{:#x}/b{}/g{}",
@@ -543,7 +538,7 @@ fn finish_warm(
 
 /// Serves one sweep point from a warm state: builds a fresh platform from
 /// the request's base spec, forks the blob into it, applies the point's
-/// wait states and tick jobs, and runs the tail to quiescence.
+/// wait states, and runs the tail to quiescence.
 ///
 /// Returns the tail's execution time in reference-clock cycles — for the
 /// base point (`wait_states == base_wait_states`) this equals the probe's
@@ -567,9 +562,6 @@ pub fn serve_point(req: &SweepRequest, warm: &WarmState) -> SimResult<u64> {
                 ),
             },
         });
-    }
-    if req.tick_jobs > 1 {
-        platform.sim_mut().set_tick_jobs(req.tick_jobs);
     }
     platform.restore(&warm.blob)?;
     if !platform.set_memory_wait_states(req.wait_states) {
@@ -655,11 +647,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_key_excludes_tail_knobs() {
+    fn warm_key_excludes_the_sweep_axis() {
         let a = quick_request();
         let b = SweepRequest {
             wait_states: 16,
-            tick_jobs: 4,
             ..quick_request()
         };
         assert_eq!(a.warm_key(), b.warm_key());
@@ -782,29 +773,6 @@ mod tests {
             WarmState::from_spill_blob(&SnapshotBlob::from_bytes(flipped), &key, warm.fingerprint)
                 .unwrap_err();
         assert_eq!(err, SnapshotError::BadChecksum);
-    }
-
-    #[test]
-    fn tick_jobs_do_not_change_the_result() {
-        let warm = warm_state(&quick_request()).expect("warm state");
-        let serial = serve_point(
-            &SweepRequest {
-                wait_states: 8,
-                ..quick_request()
-            },
-            &warm,
-        )
-        .expect("serves");
-        let parallel = serve_point(
-            &SweepRequest {
-                wait_states: 8,
-                tick_jobs: 4,
-                ..quick_request()
-            },
-            &warm,
-        )
-        .expect("serves");
-        assert_eq!(serial, parallel);
     }
 
     /// The two-pass reference warm-up: the probe, then a fresh platform

@@ -29,24 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static EDGES: AtomicU64 = AtomicU64::new(0);
 static TICKS: AtomicU64 = AtomicU64::new(0);
 static SKIPPED: AtomicU64 = AtomicU64::new(0);
-static PAR_EDGES: AtomicU64 = AtomicU64::new(0);
-static PAR_COMPUTED: AtomicU64 = AtomicU64::new(0);
-static PAR_RETICKED: AtomicU64 = AtomicU64::new(0);
-static PAR_FALLBACK_AUDIT: AtomicU64 = AtomicU64::new(0);
-static PAR_FALLBACK_SMALL: AtomicU64 = AtomicU64::new(0);
 static FF_WINDOWS: AtomicU64 = AtomicU64::new(0);
 static FF_ELIDED: AtomicU64 = AtomicU64::new(0);
-
-/// Why a parallel-enabled edge ran the serial path instead. Fallbacks are
-/// never silent: each increments its own counter, visible in snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParFallback {
-    /// Skip-audit mode was enabled (it byte-compares shared state around
-    /// every would-be-skipped tick).
-    SkipAudit,
-    /// Fewer than two components were eligible for compute on this edge.
-    TooSmall,
-}
 
 /// A point-in-time reading of the global activity counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,19 +42,6 @@ pub struct ActivitySnapshot {
     /// Total component ticks *skipped* by the sparse active-set schedule
     /// (components asleep on an edge their clock domain fired).
     pub skipped: u64,
-    /// Edges that ran the parallel compute/commit split.
-    pub par_edges: u64,
-    /// Component ticks computed on the parallel path (worker or main-thread
-    /// shard; includes ticks later re-run serially).
-    pub par_computed: u64,
-    /// Computed ticks whose observations failed commit-time validation (or
-    /// that touched state a frozen view cannot answer) and were re-run
-    /// serially after rollback.
-    pub par_reticked: u64,
-    /// Parallel-enabled edges that fell back because skip-audit was on.
-    pub par_fallback_audit: u64,
-    /// Parallel-enabled edges that fell back for lack of eligible work.
-    pub par_fallback_small: u64,
     /// Fast-forward windows processed in the loosely-timed gear (one per
     /// component per scheduling batch that was not skipped whole).
     pub ff_windows: u64,
@@ -87,15 +58,6 @@ impl ActivitySnapshot {
             edges: self.edges.wrapping_sub(earlier.edges),
             ticks: self.ticks.wrapping_sub(earlier.ticks),
             skipped: self.skipped.wrapping_sub(earlier.skipped),
-            par_edges: self.par_edges.wrapping_sub(earlier.par_edges),
-            par_computed: self.par_computed.wrapping_sub(earlier.par_computed),
-            par_reticked: self.par_reticked.wrapping_sub(earlier.par_reticked),
-            par_fallback_audit: self
-                .par_fallback_audit
-                .wrapping_sub(earlier.par_fallback_audit),
-            par_fallback_small: self
-                .par_fallback_small
-                .wrapping_sub(earlier.par_fallback_small),
             ff_windows: self.ff_windows.wrapping_sub(earlier.ff_windows),
             ff_elided: self.ff_elided.wrapping_sub(earlier.ff_elided),
         }
@@ -108,11 +70,6 @@ pub fn snapshot() -> ActivitySnapshot {
         edges: EDGES.load(Ordering::Relaxed),
         ticks: TICKS.load(Ordering::Relaxed),
         skipped: SKIPPED.load(Ordering::Relaxed),
-        par_edges: PAR_EDGES.load(Ordering::Relaxed),
-        par_computed: PAR_COMPUTED.load(Ordering::Relaxed),
-        par_reticked: PAR_RETICKED.load(Ordering::Relaxed),
-        par_fallback_audit: PAR_FALLBACK_AUDIT.load(Ordering::Relaxed),
-        par_fallback_small: PAR_FALLBACK_SMALL.load(Ordering::Relaxed),
         ff_windows: FF_WINDOWS.load(Ordering::Relaxed),
         ff_elided: FF_ELIDED.load(Ordering::Relaxed),
     }
@@ -129,18 +86,6 @@ pub(crate) fn record_edge(ticks: u64, skipped: u64) {
     }
 }
 
-/// Records one edge that ran the parallel compute/commit split: `computed`
-/// ticks evaluated against the frozen view, of which `reticked` were re-run
-/// serially at commit.
-#[inline]
-pub(crate) fn record_parallel_edge(computed: u64, reticked: u64) {
-    PAR_EDGES.fetch_add(1, Ordering::Relaxed);
-    PAR_COMPUTED.fetch_add(computed, Ordering::Relaxed);
-    if reticked != 0 {
-        PAR_RETICKED.fetch_add(reticked, Ordering::Relaxed);
-    }
-}
-
 /// Records one fast-gear scheduling batch: `windows` component windows
 /// processed, of which `elided` covered cycles were slept or seeked over
 /// instead of executed.
@@ -152,16 +97,6 @@ pub(crate) fn record_fast(windows: u64, elided: u64) {
     if elided != 0 {
         FF_ELIDED.fetch_add(elided, Ordering::Relaxed);
     }
-}
-
-/// Records a whole-edge serial fallback of a parallel-enabled simulation.
-#[inline]
-pub(crate) fn record_par_fallback(reason: ParFallback) {
-    let counter = match reason {
-        ParFallback::SkipAudit => &PAR_FALLBACK_AUDIT,
-        ParFallback::TooSmall => &PAR_FALLBACK_SMALL,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]

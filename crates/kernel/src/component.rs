@@ -1,9 +1,9 @@
 //! The component trait and per-tick context.
 
-use crate::fault::{FaultAccess, FaultEngine};
-use crate::link::{LinkAccess, LinkId, LinkPool};
-use crate::rng::{RngAccess, SplitMix64};
-use crate::stats::{StatsAccess, StatsRegistry};
+use crate::fault::FaultEngine;
+use crate::link::{LinkId, LinkPool};
+use crate::rng::SplitMix64;
+use crate::stats::StatsRegistry;
 use crate::time::{Cycles, Time};
 use std::fmt;
 
@@ -28,50 +28,22 @@ impl fmt::Display for ComponentId {
 /// Everything a component may touch during one clock tick.
 ///
 /// The context borrows the shared [`LinkPool`] (for communication), the
-/// [`StatsRegistry`] (for metrics) and a deterministic per-simulation RNG.
-///
-/// Each resource is wrapped in an access handle ([`LinkAccess`],
-/// [`StatsAccess`], [`RngAccess`], [`FaultAccess`]) that either forwards
-/// straight to the shared state (the classic serial schedule) or — during a
-/// parallel compute phase — answers from a frozen pre-edge view while
-/// buffering every side effect into a per-component effect log that the
-/// executor later applies in exact serial tick order. Components cannot tell
-/// the difference: the handles expose the same methods either way.
+/// [`StatsRegistry`] (for metrics), a deterministic per-simulation RNG and
+/// the [`FaultEngine`]. Ticks run serially in registration order, so every
+/// write lands directly in the shared state.
 pub struct TickContext<'a, T> {
     /// Current simulation time (the instant of this rising edge).
     pub time: Time,
     /// Index of this edge in the component's own clock domain.
     pub cycle: Cycles,
     /// Shared communication links.
-    pub links: LinkAccess<'a, T>,
+    pub links: &'a mut LinkPool<T>,
     /// Shared metric registry.
-    pub stats: StatsAccess<'a>,
+    pub stats: &'a mut StatsRegistry,
     /// Deterministic pseudo-random source (seeded once per simulation).
-    pub rng: RngAccess<'a>,
+    pub rng: &'a mut SplitMix64,
     /// Fault-injection engine (disarmed — and free to probe — by default).
-    pub faults: FaultAccess<'a>,
-}
-
-impl<'a, T> TickContext<'a, T> {
-    /// Builds a direct (pass-through) context over the shared simulation
-    /// state — the serial execution mode.
-    pub fn direct(
-        time: Time,
-        cycle: Cycles,
-        links: &'a mut LinkPool<T>,
-        stats: &'a mut StatsRegistry,
-        rng: &'a mut SplitMix64,
-        faults: &'a mut FaultEngine,
-    ) -> Self {
-        TickContext {
-            time,
-            cycle,
-            links: LinkAccess::direct(links),
-            stats: StatsAccess::direct(stats),
-            rng: RngAccess::direct(rng),
-            faults: FaultAccess::direct(faults),
-        }
-    }
+    pub faults: &'a mut FaultEngine,
 }
 
 impl<T> fmt::Debug for TickContext<'_, T> {
@@ -96,11 +68,7 @@ impl<T> fmt::Debug for TickContext<'_, T> {
 /// kernel can checkpoint and restore complete simulations; stateless
 /// components can rely on the trait's no-op defaults
 /// (`impl Snapshot for MyComponent {}`).
-///
-/// Components are `Send` so the executor may evaluate independent ticks of
-/// one edge on worker threads (see [`Component::parallel_safe`]); the serial
-/// commit phase keeps results bit-identical to serial execution either way.
-pub trait Component<T>: crate::snapshot::Snapshot + Send {
+pub trait Component<T>: crate::snapshot::Snapshot {
     /// Diagnostic name (unique within a simulation by convention).
     fn name(&self) -> &str;
 
@@ -172,27 +140,6 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
         None
     }
 
-    /// Whether the executor may evaluate this component's ticks on a worker
-    /// thread during a parallel compute phase (see
-    /// [`Simulation::set_tick_jobs`](crate::Simulation::set_tick_jobs)).
-    ///
-    /// The default is `false`: components are committed serially unless they
-    /// opt in, so parallel execution is always sound by construction.
-    ///
-    /// # Contract
-    ///
-    /// A parallel-safe component must confine every tick side effect to
-    /// `self` and the [`TickContext`] handles. In particular it must not
-    /// write through shared interior mutability (`Arc<Mutex<_>>` diagnostics
-    /// logs, waveform writers, files): such writes bypass the effect log, so
-    /// they would happen in compute order instead of serial tick order.
-    /// Components whose observable state lives entirely in `self`, the links
-    /// and the stats registry satisfy this automatically. The answer is read
-    /// once at registration and must not change afterwards.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
-
     /// Whether the executor may hand this component whole fast-forward
     /// windows in `Fast { quantum }` gear (see
     /// [`Simulation::set_fidelity`](crate::Simulation::set_fidelity)).
@@ -240,12 +187,10 @@ pub trait Component<T>: crate::snapshot::Snapshot + Send {
     /// Pre-registers every metric name the component may create during
     /// ticking. Called once at registration, before the first edge.
     ///
-    /// The default is a no-op — lazy registration on first use stays
-    /// correct, because a buffered tick that meets an unknown name is
-    /// rolled back and re-run serially. But each such miss costs a retick,
-    /// so parallel-safe components should pre-register here: with every
-    /// name already in the frozen directory, their ticks commit from the
-    /// buffered compute phase and `par_reticked` stays near zero.
+    /// The default is a no-op: lazy registration on first use during a
+    /// tick is equally correct. Pre-registering fixes the metric order
+    /// up front, independent of which component happens to touch a metric
+    /// first.
     ///
     /// # Contract
     ///
@@ -292,11 +237,6 @@ mod tests {
     fn default_sparse_hints_keep_dense_behaviour() {
         assert!(Nop.watched_links().is_none());
         assert!(Nop.next_activity().is_none());
-    }
-
-    #[test]
-    fn default_parallel_safe_is_false() {
-        assert!(!Nop.parallel_safe());
     }
 
     #[test]

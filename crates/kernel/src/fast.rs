@@ -135,14 +135,14 @@ impl<'a, T> FastCtx<'a, T> {
         let k = self.k;
         self.k += 1;
         self.executed += 1;
-        Some(TickContext::direct(
-            Time::from_ps(self.start_ps + k * self.period_ps),
-            Cycles::new(self.base_cycle + k),
-            &mut *self.links,
-            &mut *self.stats,
-            &mut *self.rng,
-            &mut *self.faults,
-        ))
+        Some(TickContext {
+            time: Time::from_ps(self.start_ps + k * self.period_ps),
+            cycle: Cycles::new(self.base_cycle + k),
+            links: &mut *self.links,
+            stats: &mut *self.stats,
+            rng: &mut *self.rng,
+            faults: &mut *self.faults,
+        })
     }
 
     /// Declares that, absent *new* input on the component's watched links,

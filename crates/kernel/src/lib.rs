@@ -54,7 +54,6 @@ mod error;
 mod fast;
 pub mod fault;
 mod link;
-mod parallel;
 pub mod reference;
 mod rng;
 mod sim;
@@ -64,22 +63,22 @@ mod time;
 pub mod trace;
 pub mod vcd;
 
-pub use activity::{ActivitySnapshot, ParFallback};
+pub use activity::ActivitySnapshot;
 pub use clock::ClockDomain;
 pub use component::{Component, ComponentId, TickContext};
 pub use error::{SimError, SimResult};
 pub use fast::FastCtx;
-pub use fault::{FaultAccess, FaultCounts, FaultEngine, FaultKind, FaultSchedule};
-pub use link::{Link, LinkAccess, LinkId, LinkPool};
-pub use rng::{RngAccess, SplitMix64};
+pub use fault::{FaultCounts, FaultEngine, FaultKind, FaultSchedule};
+pub use link::{Link, LinkId, LinkPool};
+pub use rng::SplitMix64;
 pub use sim::{
-    dense_default, fidelity_default, set_dense_default, set_fidelity_default,
-    set_tick_jobs_default, tick_jobs_default, Fidelity, RunOutcome, Simulation,
+    dense_default, fidelity_default, set_dense_default, set_fidelity_default, Fidelity, RunOutcome,
+    Simulation,
 };
 pub use snapshot::{
     fnv1a_64, load_blob, spill_blob, Snapshot, SnapshotBlob, SnapshotError, SnapshotPayload,
     StateReader, StateWriter,
 };
-pub use stats::{StatsAccess, StatsRegistry};
+pub use stats::StatsRegistry;
 pub use time::{Cycles, Time};
 pub use trace::{TraceBuffer, TraceKind, TraceRecord};

@@ -133,14 +133,14 @@ impl<T> NaiveSimulation<T> {
             if slot.next_tick == edge {
                 let cycle = Cycles::new(slot.ticks);
                 self.faults.set_origin(index as u32);
-                let mut ctx = TickContext::direct(
-                    edge,
+                let mut ctx = TickContext {
+                    time: edge,
                     cycle,
-                    &mut self.links,
-                    &mut self.stats,
-                    &mut self.rng,
-                    &mut self.faults,
-                );
+                    links: &mut self.links,
+                    stats: &mut self.stats,
+                    rng: &mut self.rng,
+                    faults: &mut self.faults,
+                };
                 slot.component.tick(&mut ctx);
                 slot.ticks += 1;
                 slot.next_tick = edge + slot.clock.period();

@@ -9,9 +9,17 @@
 //!   typed accessors reject anything non-integral or out of range);
 //! * `\uXXXX` escapes outside the basic multilingual plane must come as
 //!   surrogate pairs, matching what any JSON encoder emits.
+//!
+//! Arrays and objects may nest at most [`MAX_DEPTH`] levels deep. The
+//! parser recurses once per level, so an unbounded depth would let one
+//! line of `[[[[…` overflow the stack and abort the process.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts; deeper input is a
+/// [`ParseError`]. Requests nest two levels at most.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,6 +107,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -112,6 +121,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,11 +167,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -345,6 +371,20 @@ pub fn push_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = r#"{"a":"#.repeat(200_000);
+        let err = parse(&objects).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let mixed = r#"[{"a":"#.repeat(MAX_DEPTH);
+        assert!(parse(&mixed).unwrap_err().message.contains("nesting"));
+    }
 
     #[test]
     fn parses_a_request_shaped_object() {

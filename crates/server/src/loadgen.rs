@@ -89,17 +89,10 @@ pub fn fig4_mix(requests: usize, rng_seed: u64) -> Vec<Cell> {
 /// Serializes the request line for one FIG-4 cell at `scale`/`seed`.
 /// `coalesce:false` opts the request out of cross-request batching — the
 /// ledger uses it to measure the unbatched baseline.
-pub fn request_line(
-    id: u64,
-    cell: Cell,
-    scale: u64,
-    seed: u64,
-    tick_jobs: usize,
-    coalesce: bool,
-) -> String {
+pub fn request_line(id: u64, cell: Cell, scale: u64, seed: u64, coalesce: bool) -> String {
     format!(
         "{{\"id\":{id},\"cmd\":\"simulate\",\"topology\":\"{}\",\"scale\":{scale},\
-         \"seed\":{seed},\"wait_states\":{},\"tick_jobs\":{tick_jobs},\"coalesce\":{coalesce}}}",
+         \"seed\":{seed},\"wait_states\":{},\"coalesce\":{coalesce}}}",
         topology_wire_name(cell.0),
         cell.1
     )
@@ -209,8 +202,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Mix-shuffling RNG seed.
     pub rng_seed: u64,
-    /// `tick_jobs` knob forwarded on every request.
-    pub tick_jobs: usize,
     /// Whether requests may ride the server's coalescing batches
     /// (`false` sends `"coalesce":false`, the unbatched baseline).
     pub coalesce: bool,
@@ -226,7 +217,6 @@ impl Default for RunConfig {
             scale: defaults.scale,
             seed: defaults.seed,
             rng_seed: 1,
-            tick_jobs: 1,
             coalesce: true,
         }
     }
@@ -457,14 +447,8 @@ fn run_closed(
                     Client::connect(&config.addr).map_err(|e| format!("connect: {e}"))?;
                 let mut observations = Vec::with_capacity(slice.len());
                 for (id, cell) in slice {
-                    let line = request_line(
-                        id as u64,
-                        cell,
-                        config.scale,
-                        config.seed,
-                        config.tick_jobs,
-                        config.coalesce,
-                    );
+                    let line =
+                        request_line(id as u64, cell, config.scale, config.seed, config.coalesce);
                     let sent = Instant::now();
                     let response = client.roundtrip(&line).map_err(|e| format!("io: {e}"))?;
                     let latency = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -519,14 +503,8 @@ fn run_open(
                 if due > now {
                     std::thread::sleep(due - now);
                 }
-                let line = request_line(
-                    id as u64,
-                    cell,
-                    config.scale,
-                    config.seed,
-                    config.tick_jobs,
-                    config.coalesce,
-                );
+                let line =
+                    request_line(id as u64, cell, config.scale, config.seed, config.coalesce);
                 send_line(&mut writer, &line).map_err(|e| format!("io: {e}"))?;
                 // Latency is measured from the *intended* send instant, not
                 // the actual write: when the writer itself falls behind the
@@ -585,7 +563,7 @@ mod tests {
 
     #[test]
     fn request_lines_parse_back() {
-        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab, 2, false);
+        let line = request_line(3, (Topology::Collapsed, 16), 2, 0x0dab, false);
         let v = json::parse(&line).expect("valid JSON");
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("topology").and_then(Json::as_str), Some("collapsed"));

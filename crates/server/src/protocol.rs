@@ -11,9 +11,9 @@
 //!   an **array** to fan a whole sweep out across worker threads in one
 //!   request), `jobs` (worker threads for an array sweep), `fast_gear`
 //!   (loosely-timed warm-up quantum, 0/omitted = cycle-accurate),
-//!   `tick_jobs` (intra-edge parallel ticking of the tail), `coalesce`
-//!   (`true` by default; `false` opts this request out of cross-request
-//!   batching so it always warms up or forks on its own).
+//!   `coalesce` (`true` by default; `false` opts this request out of
+//!   cross-request batching so it always warms up or forks on its own).
+//!   Unknown fields are ignored.
 //! * `{"cmd": "stats"}` — server and cache counters.
 //! * `{"cmd": "ping"}` — liveness.
 //! * `{"cmd": "shutdown"}` — stop accepting and exit once drained.
@@ -116,8 +116,6 @@ fn parse_simulate(obj: &Json) -> Result<Simulate, String> {
         scale: field_u64(obj, "scale", defaults.scale)?,
         seed: field_u64(obj, "seed", defaults.seed)?,
         base_wait_states: field_u32(obj, "base_wait_states", defaults.base_wait_states)?,
-        tick_jobs: usize::try_from(field_u64(obj, "tick_jobs", 1)?)
-            .map_err(|_| "'tick_jobs' out of range".to_string())?,
         ..defaults
     };
     if let Some(name) = field_str(obj, "protocol")? {
@@ -273,7 +271,7 @@ mod tests {
     fn full_request_round_trips() {
         let line = r#"{"id": 9, "cmd": "simulate", "protocol": "ahb", "topology": "collapsed",
                        "workload": "standard", "scale": 2, "seed": 5, "wait_states": 16,
-                       "fast_gear": 8, "tick_jobs": 2}"#;
+                       "fast_gear": 8}"#;
         let Command::Simulate(sim) = parse_command(line).expect("parses") else {
             panic!("simulate");
         };
@@ -283,7 +281,14 @@ mod tests {
         assert_eq!(sim.req.seed, 5);
         assert_eq!(sim.req.wait_states, 16);
         assert_eq!(sim.req.fast_gear, Some(8));
-        assert_eq!(sim.req.tick_jobs, 2);
+    }
+
+    #[test]
+    fn unknown_fields_are_ignored() {
+        // Older clients still send the retired `tick_jobs` knob.
+        let with = parse_command(r#"{"wait_states": 4, "tick_jobs": 2}"#).expect("parses");
+        let without = parse_command(r#"{"wait_states": 4}"#).expect("parses");
+        assert_eq!(with, without);
     }
 
     #[test]

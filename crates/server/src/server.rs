@@ -48,6 +48,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Longest request line the server buffers. A connection that sends more
+/// without a newline gets one error response and is closed, so a client
+/// can never grow a connection's buffer without bound. Real requests are
+/// a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -266,7 +272,17 @@ impl Server {
                     progressed |= conn.fill();
                 }
                 if running && !conn.busy {
-                    if let Some(line) = conn.queued.pop_front() {
+                    if conn.queued.is_empty() && conn.too_long {
+                        // Every complete line before the oversized one has
+                        // been answered; answer it and let the close below
+                        // drop the connection.
+                        conn.too_long = false;
+                        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+                        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                        let _ =
+                            write_line(&mut conn.stream, &protocol::error_response(0, &message));
+                        progressed = true;
+                    } else if let Some(line) = conn.queued.pop_front() {
                         match conn.stream.try_clone() {
                             Ok(stream) => {
                                 conn.busy = true;
@@ -323,6 +339,10 @@ struct Conn {
     /// EOF or a read error was seen; the connection is dropped once its
     /// in-flight work finishes.
     closed: bool,
+    /// A line outgrew [`MAX_LINE_BYTES`]: reading stopped, and once the
+    /// lines queued before it are answered the connection gets an error
+    /// response and is closed.
+    too_long: bool,
 }
 
 impl Conn {
@@ -333,6 +353,7 @@ impl Conn {
             queued: VecDeque::new(),
             busy: false,
             closed: false,
+            too_long: false,
         }
     }
 
@@ -349,13 +370,31 @@ impl Conn {
                 }
                 Ok(n) => {
                     progressed = true;
+                    // Only the bytes just read can hold a newline: the
+                    // buffered remainder was scanned when it arrived.
+                    let mut scan = self.buf.len();
                     self.buf.extend_from_slice(&chunk[..n]);
-                    while let Some(at) = self.buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = self.buf.drain(..=at).collect();
-                        let text = String::from_utf8_lossy(&line).trim().to_string();
+                    let mut start = 0;
+                    while let Some(offset) = self.buf[scan..].iter().position(|&b| b == b'\n') {
+                        let end = scan + offset;
+                        if end - start > MAX_LINE_BYTES {
+                            break;
+                        }
+                        let text = String::from_utf8_lossy(&self.buf[start..end])
+                            .trim()
+                            .to_string();
                         if !text.is_empty() {
                             self.queued.push_back(text);
                         }
+                        start = end + 1;
+                        scan = start;
+                    }
+                    self.buf.drain(..start);
+                    if self.buf.len() > MAX_LINE_BYTES {
+                        self.buf = Vec::new();
+                        self.too_long = true;
+                        self.closed = true;
+                        break;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -476,19 +515,11 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
 
 fn serve_simulate(shared: &Shared, sim: &Simulate) -> Result<String, String> {
     let started = Instant::now();
-    // Oversubscribing fan-out workers past the host's cores is a measured
-    // pathology (see BENCH fig4_scaling history), so wire-requested job
-    // counts are clamped; results are identical for any value by the
-    // kernel's determinism guarantee.
+    // Fan-out workers past the host's cores only add contention, so
+    // wire-requested job counts are clamped; results are identical for any
+    // value by the kernel's determinism guarantee.
     let jobs = sim.jobs.clamp(1, shared.host_cores);
-    let points: Vec<SweepRequest> = sim
-        .points()
-        .into_iter()
-        .map(|mut p| {
-            p.tick_jobs = p.tick_jobs.clamp(1, shared.host_cores);
-            p
-        })
-        .collect();
+    let points = sim.points();
     // The fingerprint the cached blob must match: the one of the platform
     // this request would build. Building is wiring-only (no simulation).
     let expected = build_platform(&sim.req.base_spec())
@@ -573,7 +604,6 @@ fn lead_batch(
         .iter()
         .map(|&ws| SweepRequest {
             wait_states: ws,
-            tick_jobs: sim.req.tick_jobs.clamp(1, shared.host_cores),
             ..sim.req.clone()
         })
         .collect();

@@ -5,6 +5,7 @@
 use mpsoc_platform::service::{self, SweepRequest};
 use mpsoc_platform::Topology;
 use mpsoc_server::loadgen::{self, Client, Pacing, RunConfig};
+use mpsoc_server::server::MAX_LINE_BYTES;
 use mpsoc_server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -232,6 +233,63 @@ fn restarted_server_answers_first_request_from_the_disk_spill() {
     shutdown(&addr);
     handle.join().expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_line_is_an_error_not_an_abort() {
+    let (addr, handle) = start_server(4);
+    let mut client = Client::connect(&addr).expect("connects");
+    let line = client
+        .roundtrip(&"[".repeat(200_000))
+        .expect("responds instead of overflowing the stack");
+    assert!(line.contains("\"status\":\"error\""), "{line}");
+    assert!(line.contains("nesting"), "{line}");
+    let pong = client.roundtrip("{\"cmd\":\"ping\"}").expect("responds");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
+}
+
+#[test]
+fn oversized_line_gets_an_error_then_a_close() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let (addr, handle) = start_server(4);
+    let stream = TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clones");
+    // A ping, then more than the line limit without a newline. The server
+    // stops reading once the limit is passed, so write from a thread and
+    // ignore the broken pipe that follows the close.
+    let sender = std::thread::spawn(move || {
+        let mut bytes = b"{\"cmd\":\"ping\"}\n".to_vec();
+        bytes.resize(bytes.len() + MAX_LINE_BYTES + 4096, b' ');
+        let _ = writer.write_all(&bytes);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut pong = String::new();
+    reader.read_line(&mut pong).expect("pong");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let mut error = String::new();
+    reader.read_line(&mut error).expect("error response");
+    assert!(error.contains("\"status\":\"error\""), "{error}");
+    assert!(error.contains("exceeds"), "{error}");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection must close after the error, got {rest:?}"
+    );
+    sender.join().expect("sender");
+
+    // The server itself keeps serving.
+    let mut client = Client::connect(&addr).expect("connects");
+    let pong = client.roundtrip("{\"cmd\":\"ping\"}").expect("responds");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    shutdown(&addr);
+    handle.join().expect("server exits cleanly");
 }
 
 #[test]

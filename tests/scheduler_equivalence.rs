@@ -514,22 +514,20 @@ fn sparse_skips_most_ticks_on_long_gaps() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel compute/commit differentials
+// Forwarding chains, armed faults and gear shifts
 // ---------------------------------------------------------------------------
 //
-// With `set_tick_jobs(n > 1)` the kernel ticks parallel-safe components on
-// worker threads against a frozen view and replays their buffered effects in
-// registration order at commit time. The contract is *byte identity*: for any
-// platform and any job count, the run must be indistinguishable from serial —
-// same final time, same stats tables, same trace, same checkpoint bytes.
+// Store-and-forward chains that register metrics, emit traces and probe the
+// fault injector. The contract is *byte identity*: the bucketed executor
+// agrees with the naive oracle, and the sparse schedule agrees with the
+// dense one — same final time, same stats tables, same trace, same
+// checkpoint bytes, same fault accounting.
 
 use mpsoc_kernel::stats::CounterId;
 use mpsoc_kernel::{FaultKind, FaultSchedule, Fidelity, StatsRegistry, TraceKind};
 
-/// A parallel-safe forwarder: pops its input, pushes `payload + 1`, counts
-/// forwards and emits a trace record. Every cross-component effect goes
-/// through the `TickContext`, so the kernel may compute its tick on a worker
-/// thread and commit the buffered effect log afterwards.
+/// A forwarder: pops its input, pushes `payload + 1`, counts forwards and
+/// emits a trace record.
 struct Hop {
     name: String,
     rx: LinkId,
@@ -555,8 +553,6 @@ impl Component<u64> for Hop {
         let counter = match self.counter {
             Some(c) => c,
             None => {
-                // First tick runs serially by design, so registration keeps
-                // its deterministic order even under parallel execution.
                 let c = ctx.stats.counter(&format!("{}.forwarded", self.name));
                 self.counter = Some(c);
                 c
@@ -576,16 +572,11 @@ impl Component<u64> for Hop {
     fn is_idle(&self) -> bool {
         true // drains on demand; quiescence comes from empty links
     }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
-/// A fault-probing, parallel-safe hop: probes the injector for every popped
-/// payload, dropping hits (recorded lost) and forwarding the rest. Its
-/// metrics are pre-registered through [`Component::register_metrics`], so
-/// even under an armed schedule its buffered ticks commit without a retick —
-/// the per-origin probe streams make the buffered draws exact.
+/// A fault-probing hop: probes the injector for every popped payload,
+/// dropping hits (recorded lost) and forwarding the rest. Its metrics are
+/// pre-registered through [`Component::register_metrics`].
 struct FaultyHop {
     name: String,
     rx: LinkId,
@@ -631,9 +622,6 @@ impl Component<u64> for FaultyHop {
         }
     }
     fn is_idle(&self) -> bool {
-        true
-    }
-    fn parallel_safe(&self) -> bool {
         true
     }
 }
@@ -694,9 +682,8 @@ macro_rules! build_faulty_chains {
     }};
 }
 
-/// Builds producer → hop → hop → consumer chains on one executor. The hops
-/// are parallel-safe; the producers and consumers are not, so every edge
-/// mixes worker-computed and serially-committed slots.
+/// Builds producer → hop → hop → consumer chains on one executor (works for
+/// both `Simulation` and `NaiveSimulation`).
 macro_rules! build_hop_chains {
     ($sim:expr, $chains:expr) => {{
         let pool = clock_pool();
@@ -751,27 +738,14 @@ macro_rules! build_hop_chains {
     }};
 }
 
-/// Runs one bucketed executor to `horizon` and fingerprints everything the
-/// paper pipeline consumes: final time, checkpoint bytes, rendered stats
-/// table and trace dump.
-fn parallel_fingerprint(
-    sim: &mut Simulation<u64>,
-    horizon: Time,
-) -> (Time, Vec<u8>, String, String) {
-    sim.stats_mut().trace_mut().enable(512);
-    sim.run_until(horizon);
-    let at = sim.time();
-    let report = sim.stats().report(at).to_string();
-    let trace = sim.stats().trace().dump();
-    (at, sim.checkpoint().as_bytes().to_vec(), report, trace)
-}
-
-/// Like [`parallel_fingerprint`], but with an optional mid-run gear shift:
-/// run the first third cycle-accurate, fast-forward the middle third at the
-/// given quantum, then drop back to cycle accuracy for the rest. All
-/// executors in one comparison get the same gear schedule, so the fingerprint
-/// must match regardless of job count or sparse/dense scheduling.
-fn compound_fingerprint(
+/// Runs one bucketed executor to `horizon_ns` and fingerprints everything
+/// the paper pipeline consumes: final time, checkpoint bytes, rendered stats
+/// table and trace dump. With a `quantum`, the run shifts gear mid-way: the
+/// first third cycle-accurate, the middle third fast-forwarded at that
+/// quantum, the rest cycle-accurate again. All executors in one comparison
+/// get the same gear schedule, so the fingerprint must match regardless of
+/// sparse/dense scheduling.
+fn fingerprint(
     sim: &mut Simulation<u64>,
     horizon_ns: u64,
     quantum: Option<u64>,
@@ -798,100 +772,60 @@ fn compound_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For random mixed-safety platforms, every job count in {2, 4, 8}
-    /// reproduces the serial run byte-for-byte, and the serial run agrees
+    /// For random forwarding-chain platforms, the bucketed executor agrees
     /// with the naive full-scan oracle.
     #[test]
-    fn parallel_matches_serial_and_naive_at_all_job_counts(
+    fn hop_chains_match_naive(
         chains in prop::collection::vec((0usize..8, 0usize..8, 1u64..25, 1usize..4), 1..5),
         horizon_ns in 100u64..1500,
     ) {
-        let horizon = Time::from_ns(horizon_ns);
-
         let mut naive: NaiveSimulation<u64> = NaiveSimulation::new();
         build_hop_chains!(naive, chains);
-        naive.run_until(horizon);
+        naive.run_until(Time::from_ns(horizon_ns));
         let naive_report = naive.stats().report(naive.time()).to_string();
 
-        let mut serial: Simulation<u64> = Simulation::new();
-        serial.set_tick_jobs(1);
-        build_hop_chains!(serial, chains);
-        let (serial_at, serial_blob, serial_report, serial_trace) =
-            parallel_fingerprint(&mut serial, horizon);
+        let mut sim: Simulation<u64> = Simulation::new();
+        build_hop_chains!(sim, chains);
+        let (at, _, report, _) = fingerprint(&mut sim, horizon_ns, None);
 
-        prop_assert_eq!(naive.time(), serial_at);
-        prop_assert_eq!(&naive_report, &serial_report);
-
-        for jobs in [2usize, 4, 8] {
-            let mut par: Simulation<u64> = Simulation::new();
-            par.set_tick_jobs(jobs);
-            build_hop_chains!(par, chains);
-            let (at, blob, report, trace) = parallel_fingerprint(&mut par, horizon);
-            prop_assert_eq!(serial_at, at);
-            prop_assert_eq!(&serial_report, &report);
-            prop_assert_eq!(&serial_trace, &trace);
-            prop_assert_eq!(&serial_blob, &blob);
-        }
+        prop_assert_eq!(naive.time(), at);
+        prop_assert_eq!(&naive_report, &report);
     }
 
-    /// Armed fault injection now rides the parallel path: buffered per-origin
-    /// probe draws are replayed in serial commit order, so every job count
-    /// stays byte-identical to serial (and serial to the naive oracle) while
-    /// the edge keeps computing on workers.
+    /// Armed fault injection: per-origin probe streams make the bucketed
+    /// executor agree with the naive oracle on tables and fault counts.
     #[test]
-    fn armed_fault_runs_match_serial_and_naive_at_any_job_count(
+    fn armed_fault_runs_match_naive(
         chains in prop::collection::vec((0usize..8, 0usize..8, 1u64..20, 1usize..4), 1..4),
         seed in any::<u64>(),
         rate in 0u32..5000,
         horizon_ns in 100u64..1200,
     ) {
-        let horizon = Time::from_ns(horizon_ns);
         let schedule = FaultSchedule::uniform(rate, seed);
 
         let mut naive: NaiveSimulation<u64> = NaiveSimulation::new();
         build_faulty_chains!(naive, chains);
         naive.faults_mut().arm(schedule);
-        naive.run_until(horizon);
+        naive.run_until(Time::from_ns(horizon_ns));
         let naive_report = naive.stats().report(naive.time()).to_string();
         let naive_counts = naive.faults_mut().counts();
 
-        let mut serial: Simulation<u64> = Simulation::new();
-        serial.set_tick_jobs(1);
-        build_faulty_chains!(serial, chains);
-        serial.faults_mut().arm(schedule);
-        let (serial_at, serial_blob, serial_report, serial_trace) =
-            parallel_fingerprint(&mut serial, horizon);
+        let mut sim: Simulation<u64> = Simulation::new();
+        build_faulty_chains!(sim, chains);
+        sim.faults_mut().arm(schedule);
+        let (at, _, report, _) = fingerprint(&mut sim, horizon_ns, None);
 
-        prop_assert_eq!(naive.time(), serial_at);
-        prop_assert_eq!(&naive_report, &serial_report);
-        prop_assert_eq!(naive_counts, serial.faults().counts());
-
-        for jobs in [2usize, 4, 8] {
-            let before = mpsoc_kernel::activity::snapshot();
-            let mut par: Simulation<u64> = Simulation::new();
-            par.set_tick_jobs(jobs);
-            build_faulty_chains!(par, chains);
-            par.faults_mut().arm(schedule);
-            let (at, blob, report, trace) = parallel_fingerprint(&mut par, horizon);
-            prop_assert_eq!(serial_at, at);
-            prop_assert_eq!(&serial_report, &report);
-            prop_assert_eq!(&serial_trace, &trace);
-            prop_assert_eq!(&serial_blob, &blob);
-            prop_assert_eq!(naive_counts, par.faults().counts());
-            let delta = mpsoc_kernel::activity::snapshot().since(before);
-            prop_assert!(
-                delta.par_computed > 0,
-                "armed faults must not keep the edge off the parallel path"
-            );
-        }
+        prop_assert_eq!(naive.time(), at);
+        prop_assert_eq!(&naive_report, &report);
+        prop_assert_eq!(naive_counts, sim.faults().counts());
     }
 
-    /// Compound differential: sparse scheduling, parallel ticking, armed
-    /// faults and an optional mid-run gear shift all composed at once must
-    /// stay byte-identical to the dense serial run at every job count, and
-    /// (when no gear shift is involved) agree with the naive oracle.
+    /// Compound differential: sparse scheduling, armed faults and an
+    /// optional mid-run gear shift all composed at once must stay
+    /// byte-identical to the dense run, and (when no gear shift is
+    /// involved) agree with the naive oracle.
     #[test]
-    fn sparse_parallel_composition_matches_dense_serial(
+    fn sparse_fault_gear_composition_matches_dense(
         pairs in prop::collection::vec(
             (0usize..8, 0usize..8, 0u64..40, 1u64..25, 1usize..4),
             1..4,
@@ -907,12 +841,11 @@ proptest! {
         let dense_log: ObsLog = Arc::new(Mutex::new(Vec::new()));
         let mut dense: Simulation<u64> = Simulation::new();
         dense.set_dense(true);
-        dense.set_tick_jobs(1);
         build_paced!(dense, pairs, dense_log);
         build_faulty_chains!(dense, chains);
         dense.faults_mut().arm(schedule);
         let (dense_at, dense_blob, dense_report, dense_trace) =
-            compound_fingerprint(&mut dense, horizon_ns, quantum);
+            fingerprint(&mut dense, horizon_ns, quantum);
 
         if quantum.is_none() {
             // The naive oracle has no gear box, so it is compared only on
@@ -934,23 +867,21 @@ proptest! {
             );
         }
 
-        for jobs in [2usize, 4, 8] {
-            let log: ObsLog = Arc::new(Mutex::new(Vec::new()));
-            let mut sim: Simulation<u64> = Simulation::new();
-            sim.set_dense(false);
-            sim.set_tick_jobs(jobs);
-            build_paced!(sim, pairs, log);
-            build_faulty_chains!(sim, chains);
-            sim.faults_mut().arm(schedule);
-            let (at, blob, report, trace) = compound_fingerprint(&mut sim, horizon_ns, quantum);
-            prop_assert_eq!(dense_at, at);
-            prop_assert_eq!(&dense_report, &report);
-            prop_assert_eq!(&dense_trace, &trace);
-            prop_assert_eq!(&dense_blob, &blob);
-            prop_assert_eq!(
-                dense_log.lock().unwrap().clone(),
-                log.lock().unwrap().clone()
-            );
-        }
+        let log: ObsLog = Arc::new(Mutex::new(Vec::new()));
+        let mut sim: Simulation<u64> = Simulation::new();
+        sim.set_dense(false);
+        build_paced!(sim, pairs, log);
+        build_faulty_chains!(sim, chains);
+        sim.faults_mut().arm(schedule);
+        let (at, blob, report, trace) = fingerprint(&mut sim, horizon_ns, quantum);
+        prop_assert_eq!(dense_at, at);
+        prop_assert_eq!(&dense_report, &report);
+        prop_assert_eq!(&dense_trace, &trace);
+        prop_assert_eq!(&dense_blob, &blob);
+        prop_assert_eq!(
+            dense_log.lock().unwrap().clone(),
+            log.lock().unwrap().clone()
+        );
+        prop_assert_eq!(dense.faults().counts(), sim.faults().counts());
     }
 }
